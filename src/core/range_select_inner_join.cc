@@ -1,5 +1,6 @@
 #include "src/core/range_select_inner_join.h"
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -66,6 +67,8 @@ Result<JoinResult> RangeSelectInnerJoinCounting(
   CachingKnnSearcher inner_searcher(*query.inner, shared_cache);
   JoinResult pairs;
   std::size_t counting_blocks = 0;  // Blocks popped by the pruning scan.
+  // The pruning scan, held across outer tuples and restarted per tuple.
+  std::unique_ptr<BlockScan> held_scan;
   {
     PhaseSpan phase("join_probe", &inner_searcher.stats());
     for (const Point& e1 : query.outer->points()) {
@@ -75,10 +78,11 @@ Result<JoinResult> RangeSelectInnerJoinCounting(
       const double threshold = query.range.MinDist(e1);
       std::size_t count = 0;
       if (threshold > 0.0) {  // e1 inside the rectangle never prunes.
-        auto scan = query.inner->NewScan(e1, ScanOrder::kMaxDist);
+        BlockScan& scan =
+            query.inner->RestartScan(&held_scan, e1, ScanOrder::kMaxDist);
         double max_dist = 0.0;
-        while (count <= query.join_k && scan->HasNext()) {
-          const BlockId id = scan->Next(&max_dist);
+        while (count <= query.join_k && scan.HasNext()) {
+          const BlockId id = scan.Next(&max_dist);
           ++counting_blocks;
           if (max_dist >= threshold) break;
           count += query.inner->block(id).count();

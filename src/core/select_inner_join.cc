@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <optional>
 
 #include "src/common/check.h"
@@ -121,6 +122,8 @@ Result<JoinResult> SelectInnerJoinCounting(const SelectInnerJoinQuery& query,
 
   std::size_t counting_blocks = 0;  // Blocks popped by the pruning scan.
   const NeighborhoodColumns nbr_f_cols(nbr_f);
+  // The pruning scan, held across outer tuples and restarted per tuple.
+  std::unique_ptr<BlockScan> held_scan;
   {
     PhaseSpan phase("join_probe", &inner_searcher.stats());
     for (const Point& e1 : query.outer->points()) {
@@ -129,10 +132,11 @@ Result<JoinResult> SelectInnerJoinCounting(const SelectInnerJoinQuery& query,
       // e1's k-neighborhood once there are more than join_k of them.
       const double threshold = NearestMemberDistance(e1, nbr_f_cols);
       std::size_t count = 0;
-      auto scan = query.inner->NewScan(e1, ScanOrder::kMaxDist);
+      BlockScan& scan =
+          query.inner->RestartScan(&held_scan, e1, ScanOrder::kMaxDist);
       double max_dist = 0.0;
-      while (count <= query.join_k && scan->HasNext()) {
-        const BlockId id = scan->Next(&max_dist);
+      while (count <= query.join_k && scan.HasNext()) {
+        const BlockId id = scan.Next(&max_dist);
         ++counting_blocks;
         // Strict comparison: only blocks whose every point is strictly
         // within the threshold may count (DESIGN.md note 1).

@@ -1,5 +1,6 @@
 #include "src/core/unchained_joins.h"
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -96,6 +97,8 @@ Result<TripletResult> UnchainedJoinsBlockMarking(
   std::vector<BlockId> contributing;
   std::size_t marking_blocks = 0;  // B-blocks popped by the direct scans.
   const auto num_c_blocks = static_cast<BlockId>(query.c->num_blocks());
+  // The marking scan, held across C-blocks and restarted per block.
+  std::unique_ptr<BlockScan> held_scan;
   {
     PhaseSpan phase("preprocess", &b_searcher.stats());
     for (BlockId id = 0; id < num_c_blocks; ++id) {
@@ -109,10 +112,11 @@ Result<TripletResult> UnchainedJoinsBlockMarking(
         is_contributing = true;
       } else {
         const double threshold = nbr.back().dist + block.Diagonal();
-        auto scan = query.b->NewScan(center, ScanOrder::kMinDist);
+        BlockScan& scan =
+            query.b->RestartScan(&held_scan, center, ScanOrder::kMinDist);
         double min_dist = 0.0;
-        while (scan->HasNext()) {
-          const BlockId b_block = scan->Next(&min_dist);
+        while (scan.HasNext()) {
+          const BlockId b_block = scan.Next(&min_dist);
           ++marking_blocks;
           if (min_dist > threshold) break;
           if (candidate[b_block]) {

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <queue>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/index/scan_heap.h"
 
 namespace knnq {
 
@@ -35,23 +35,13 @@ struct ScanEntry {
 /// Both bounds are non-decreasing in r, so the scan keeps a min-heap of
 /// exact keys for cells of the rings expanded so far and only expands the
 /// next ring when the heap's top could still be beaten by an unexpanded
-/// cell. Starting a scan costs O(1) regardless of grid size.
+/// cell. Starting or restarting a scan costs O(1) regardless of grid
+/// size.
 class GridBlockScan final : public BlockScan {
  public:
   GridBlockScan(const GridIndex& grid, const Point& query, ScanOrder order)
-      : grid_(grid), query_(query), order_(order) {
-    if (grid_.num_blocks() == 0) {
-      next_ring_ = 0;
-      max_ring_ = -1;  // Nothing to expand.
-      return;
-    }
-    grid_.CellOf(query.x, query.y, &ci_, &cj_);
-    const std::size_t chebyshev_x =
-        std::max(ci_, grid_.cols_ - 1 - ci_);
-    const std::size_t chebyshev_y =
-        std::max(cj_, grid_.rows_ - 1 - cj_);
-    max_ring_ = static_cast<std::ptrdiff_t>(std::max(chebyshev_x,
-                                                     chebyshev_y));
+      : grid_(grid) {
+    Restart(query, order);
   }
 
   bool HasNext() override {
@@ -62,10 +52,25 @@ class GridBlockScan final : public BlockScan {
   BlockId Next(double* key_dist) override {
     Refill();
     KNNQ_CHECK_MSG(!heap_.empty(), "Next() past the end of a block scan");
-    const ScanEntry top = heap_.top();
-    heap_.pop();
+    const ScanEntry top = heap_.pop();
     if (key_dist != nullptr) *key_dist = top.key;
     return top.block;
+  }
+
+  void Restart(const Point& query, ScanOrder order) override {
+    query_ = query;
+    order_ = order;
+    heap_.clear();
+    next_ring_ = 0;
+    max_ring_ = -1;  // Nothing to expand in an empty grid.
+    if (grid_.num_blocks() == 0) return;
+    grid_.CellOf(query.x, query.y, &ci_, &cj_);
+    const std::size_t chebyshev_x =
+        std::max(ci_, grid_.cols_ - 1 - ci_);
+    const std::size_t chebyshev_y =
+        std::max(cj_, grid_.rows_ - 1 - cj_);
+    max_ring_ = static_cast<std::ptrdiff_t>(std::max(chebyshev_x,
+                                                     chebyshev_y));
   }
 
  private:
@@ -125,15 +130,13 @@ class GridBlockScan final : public BlockScan {
   }
 
   const GridIndex& grid_;
-  const Point query_;
-  const ScanOrder order_;
+  Point query_;
+  ScanOrder order_ = ScanOrder::kMinDist;
   std::size_t ci_ = 0;
   std::size_t cj_ = 0;
   std::ptrdiff_t next_ring_ = 0;
   std::ptrdiff_t max_ring_ = -1;
-  std::priority_queue<ScanEntry, std::vector<ScanEntry>,
-                      std::greater<ScanEntry>>
-      heap_;
+  ScanHeap<ScanEntry> heap_;
 };
 
 Result<std::unique_ptr<GridIndex>> GridIndex::Build(
@@ -317,10 +320,13 @@ Status GridIndex::BulkLoad(PointSet points) {
 void GridIndex::CellOf(double x, double y, std::size_t* ci,
                        std::size_t* cj) const {
   KNNQ_DCHECK(cols_ > 0 && rows_ > 0);
+  // Clamp in double before converting: a query far off the grid (KNNQL
+  // accepts any finite point) yields a cell coordinate past what
+  // size_t holds, and that conversion is undefined.
   const auto clamp_cell = [](double v, std::size_t cells) {
-    if (v < 0.0) return std::size_t{0};
-    const std::size_t c = static_cast<std::size_t>(v);
-    return std::min(c, cells - 1);
+    if (!(v > 0.0)) return std::size_t{0};
+    const double last = static_cast<double>(cells - 1);
+    return v >= last ? cells - 1 : static_cast<std::size_t>(v);
   };
   *ci = clamp_cell((x - bounds_.min_x()) / cell_w_, cols_);
   *cj = clamp_cell((y - bounds_.min_y()) / cell_h_, rows_);

@@ -45,7 +45,7 @@ Neighborhood KnnSearcher::GetKnn(const Point& query, std::size_t k,
   if (sharded_ != nullptr) return GetKnnSharded(query, k, memo);
   constexpr double kInf = std::numeric_limits<double>::infinity();
   ComputeLocalityInto(index_, query, k, kInf, &stats_, arena_.phase1(),
-                      locality_);
+                      arena_.scan(kOwnScan), locality_);
   return NeighborhoodFromLocality(query, k, locality_, kInf);
 }
 
@@ -86,7 +86,7 @@ Neighborhood KnnSearcher::GetKnnSharded(const Point& query, std::size_t k,
         ++stats_.cache_hits;
       } else {
         ++stats_.cache_misses;
-        child_nbr = SearchOne(child, query, k);
+        child_nbr = SearchOne(s, query, k);
         memo->Store(child, query, k, child_nbr);
       }
       for (const Neighbor& n : child_nbr) {
@@ -102,7 +102,7 @@ Neighborhood KnnSearcher::GetKnnSharded(const Point& query, std::size_t k,
       // could still enter the top k).
       const double clip = std::sqrt(topk.threshold());
       ComputeLocalityInto(child, query, k, clip, &stats_, arena_.phase1(),
-                          locality_);
+                          arena_.scan(ShardScan(s)), locality_);
       --stats_.localities_computed;  // Counted once per gather, not per shard.
       AccumulateFromLocality(child, query, locality_, clip, topk);
     }
@@ -114,11 +114,12 @@ Neighborhood KnnSearcher::GetKnnSharded(const Point& query, std::size_t k,
   return ToNeighborhood(topk.SortAscending());
 }
 
-Neighborhood KnnSearcher::SearchOne(const SpatialIndex& index,
-                                    const Point& query, std::size_t k) {
+Neighborhood KnnSearcher::SearchOne(std::size_t shard, const Point& query,
+                                    std::size_t k) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  const SpatialIndex& index = sharded_->shard(shard);
   ComputeLocalityInto(index, query, k, kInf, &stats_, arena_.phase1(),
-                      locality_);
+                      arena_.scan(ShardScan(shard)), locality_);
   --stats_.localities_computed;  // Counted once per gather, not per shard.
   TopKQueue topk(k, shard_heap_);
   AccumulateFromLocality(index, query, locality_, kInf, topk);
@@ -128,7 +129,7 @@ Neighborhood KnnSearcher::SearchOne(const SpatialIndex& index,
 Neighborhood KnnSearcher::GetKnnRestricted(const Point& query, std::size_t k,
                                            double threshold) {
   ComputeLocalityInto(index_, query, k, threshold, &stats_, arena_.phase1(),
-                      locality_);
+                      arena_.scan(kOwnScan), locality_);
   // Individual points beyond the threshold are skipped as well: no such
   // point can displace a within-threshold point from the top k (any
   // point preceding a within-threshold point is itself within the

@@ -127,18 +127,24 @@ class KnnSearcher {
   Neighborhood GetKnnSharded(const Point& query, std::size_t k,
                              ShardMemo* memo);
 
-  /// Full (unrestricted) k-neighborhood over one shard child — the
+  /// Full (unrestricted) k-neighborhood over shard `shard` — the
   /// cacheable unit the memo stores. Uses shard_heap_, not the arena
   /// heap, which holds the global candidates.
-  Neighborhood SearchOne(const SpatialIndex& index, const Point& query,
+  Neighborhood SearchOne(std::size_t shard, const Point& query,
                          std::size_t k);
+
+  /// Arena scan slots: kOwnScan scans index_ itself (plain searches and
+  /// GetKnnRestricted), ShardScan(s) scans shard s of a sharded index_.
+  static constexpr std::size_t kOwnScan = 0;
+  static std::size_t ShardScan(std::size_t shard) { return 1 + shard; }
 
   const SpatialIndex& index_;
   /// Non-null when index_ is a ShardedIndex.
   const ShardedIndex* sharded_ = nullptr;
   SearchStats stats_;
   /// Recycled buffers (block ordering, top-k heap, distance batches,
-  /// locality scratch): after warm-up, queries allocate nothing here.
+  /// locality scratch) and held block scans: after warm-up, queries
+  /// allocate nothing here.
   QueryArena arena_;
   Locality locality_;
   /// Scatter-gather scratch: (MINDIST^2, shard) visit order and the

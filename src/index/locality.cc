@@ -11,8 +11,9 @@ Locality ComputeLocality(const SpatialIndex& index, const Point& query,
                          SearchStats* stats) {
   Locality locality;
   std::vector<BlockId> phase1_scratch;
+  std::unique_ptr<BlockScan> scan;
   ComputeLocalityInto(index, query, k, restrict_to_threshold, stats,
-                      phase1_scratch, locality);
+                      phase1_scratch, scan, locality);
   return locality;
 }
 
@@ -20,6 +21,7 @@ void ComputeLocalityInto(const SpatialIndex& index, const Point& query,
                          std::size_t k, double restrict_to_threshold,
                          SearchStats* stats,
                          std::vector<BlockId>& phase1_scratch,
+                         std::unique_ptr<BlockScan>& held_scan,
                          Locality& out) {
   Locality& locality = out;
   locality.blocks.clear();
@@ -36,10 +38,11 @@ void ComputeLocalityInto(const SpatialIndex& index, const Point& query,
   std::size_t count = 0;
   double m = std::numeric_limits<double>::infinity();
   {
-    auto scan = index.NewScan(query, ScanOrder::kMaxDist);
+    BlockScan& scan =
+        index.RestartScan(&held_scan, query, ScanOrder::kMaxDist);
     double key = 0.0;
-    while (count < k && scan->HasNext()) {
-      const BlockId id = scan->Next(&key);
+    while (count < k && scan.HasNext()) {
+      const BlockId id = scan.Next(&key);
       if (stats != nullptr) ++stats->blocks_scanned;
       count += index.block(id).count();
       phase1.push_back(id);
@@ -50,7 +53,7 @@ void ComputeLocalityInto(const SpatialIndex& index, const Point& query,
     if (count >= k) {
       m = key;  // MAXDIST of the last block that completed the count.
     }
-    if (stats != nullptr) stats->shards_pruned += scan->shards_pruned();
+    if (stats != nullptr) stats->shards_pruned += scan.shards_pruned();
     // Otherwise the whole index holds fewer than k points: every block
     // was popped and (subject to the threshold) added; M stays infinite
     // and phase 2 has nothing left to do.
@@ -61,10 +64,10 @@ void ComputeLocalityInto(const SpatialIndex& index, const Point& query,
   // Phase 2: MINDIST order; every point within M lives in a block with
   // MINDIST <= M. Skip blocks already taken in phase 1.
   const double add_bound = std::min(m, restrict_to_threshold);
-  auto scan = index.NewScan(query, ScanOrder::kMinDist);
+  BlockScan& scan = index.RestartScan(&held_scan, query, ScanOrder::kMinDist);
   double key = 0.0;
-  while (scan->HasNext()) {
-    const BlockId id = scan->Next(&key);
+  while (scan.HasNext()) {
+    const BlockId id = scan.Next(&key);
     if (key > add_bound) break;
     if (stats != nullptr) ++stats->blocks_scanned;
     if (std::find(phase1.begin(), phase1.end(), id) != phase1.end()) {
@@ -72,7 +75,7 @@ void ComputeLocalityInto(const SpatialIndex& index, const Point& query,
     }
     locality.blocks.push_back(id);
   }
-  if (stats != nullptr) stats->shards_pruned += scan->shards_pruned();
+  if (stats != nullptr) stats->shards_pruned += scan.shards_pruned();
 }
 
 }  // namespace knnq

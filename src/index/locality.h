@@ -24,6 +24,7 @@
 #define KNNQ_SRC_INDEX_LOCALITY_H_
 
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "src/common/point.h"
@@ -77,14 +78,17 @@ Locality ComputeLocality(
     SearchStats* stats = nullptr);
 
 /// Allocation-recycling variant: builds the locality into `out`
-/// (clearing its block list but keeping its capacity) and uses
+/// (clearing its block list but keeping its capacity), uses
 /// `phase1_scratch` for the phase-1 bookkeeping instead of a local
-/// vector. The hot path (KnnSearcher) calls this with arena-owned
-/// buffers so steady-state locality construction allocates nothing.
+/// vector, and runs both phases on `held_scan` (created on first use,
+/// restarted afterwards; it must belong to `index`). The hot path
+/// (KnnSearcher) calls this with arena-owned buffers and scans so
+/// steady-state locality construction allocates nothing.
 void ComputeLocalityInto(const SpatialIndex& index, const Point& query,
                          std::size_t k, double restrict_to_threshold,
                          SearchStats* stats,
-                         std::vector<BlockId>& phase1_scratch, Locality& out);
+                         std::vector<BlockId>& phase1_scratch,
+                         std::unique_ptr<BlockScan>& held_scan, Locality& out);
 
 }  // namespace knnq
 

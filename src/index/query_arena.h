@@ -1,26 +1,30 @@
 // QueryArena: per-searcher (== per-thread, by KnnSearcher's contract)
-// scratch buffers for the query hot path.
+// scratch for the query hot path.
 //
 // Every buffer a kNN search needs — the MINDIST-ordered block list, the
 // top-k heap, the batched-distance output, the locality phase-1 list
 // and the locality block set — lives here and is recycled between
 // queries: accessors clear contents but never shrink capacity. The
-// buffers grow to a high-water mark over the first few queries, after
-// which the search path performs zero heap allocations per query (the
-// one remaining allocation is the index's BlockScan object, which is
-// structure-specific and outside the arena's reach).
+// arena also holds the BlockScans locality construction runs, one per
+// scanned index, restarted per query (BlockScan::Restart) rather than
+// re-created. Buffers and scan heaps grow to a high-water mark over the
+// first few queries, after which a search allocates only the
+// Neighborhood it returns (tests/kernel_test.cc counts this).
 //
-// `bytes()` reports the arena's capacity footprint so serving stats can
-// surface how much scratch each worker retains.
+// `bytes()` reports the capacity footprint of the arena's own buffers
+// (not the held scans' heaps) so serving stats can surface how much
+// scratch each worker retains.
 
 #ifndef KNNQ_SRC_INDEX_QUERY_ARENA_H_
 #define KNNQ_SRC_INDEX_QUERY_ARENA_H_
 
 #include <cstddef>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/index/block.h"
+#include "src/index/spatial_index.h"
 #include "src/index/topk.h"
 
 namespace knnq {
@@ -48,7 +52,15 @@ class QueryArena {
     return phase1_;
   }
 
-  /// Total bytes of scratch capacity currently retained.
+  /// The held scan of slot `slot` (the searcher assigns one slot per
+  /// index it scans): empty until its first use, which creates it with
+  /// SpatialIndex::RestartScan; later uses restart it.
+  std::unique_ptr<BlockScan>& scan(std::size_t slot) {
+    if (scans_.size() <= slot) scans_.resize(slot + 1);
+    return scans_[slot];
+  }
+
+  /// Total bytes of buffer capacity currently retained.
   std::size_t bytes() const;
 
  private:
@@ -56,6 +68,7 @@ class QueryArena {
   std::vector<TopKEntry> heap_;
   std::vector<double> distances_;
   std::vector<BlockId> phase1_;
+  std::vector<std::unique_ptr<BlockScan>> scans_;
 };
 
 }  // namespace knnq

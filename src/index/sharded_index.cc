@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/index/scan_heap.h"
 
 namespace knnq {
 
@@ -67,9 +67,11 @@ int BuildBisection(PointSet points, std::size_t shards,
 /// MINDIST(query, union of the shard's block boxes) — a lower bound on
 /// any of that shard's block keys for either scan order, since every
 /// block box is contained in the union by construction. A child's scan
-/// object is created only when its sentinel pops; shards whose
-/// sentinel never pops when the caller abandons the scan are the
-/// pruned ones.
+/// is opened only when its sentinel pops; shards whose sentinel never
+/// pops when the caller abandons the scan are the pruned ones. Opening
+/// creates the child's scan the first time and restarts it after a
+/// Restart of the merged scan, so a held merged scan stops allocating
+/// once every shard it reaches has been opened.
 class ShardedBlockScan final : public BlockScan {
  public:
   ShardedBlockScan(const ShardedIndex& owner,
@@ -77,18 +79,8 @@ class ShardedBlockScan final : public BlockScan {
                    const Point& query, ScanOrder order)
       : owner_(owner),
         block_offset_(block_offset),
-        query_(query),
-        order_(order),
         scans_(owner.num_shards()) {
-    for (std::size_t s = 0; s < owner_.num_shards(); ++s) {
-      const SpatialIndex& child = owner_.shard(s);
-      if (child.num_blocks() == 0) continue;
-      ++non_empty_;
-      heap_.push(Entry{.key = owner.ShardScanBounds(s).MinDist(query_),
-                       .shard = s,
-                       .block = kInvalidBlockId,
-                       .sentinel = true});
-    }
+    Restart(query, order);
   }
 
   bool HasNext() override {
@@ -100,18 +92,33 @@ class ShardedBlockScan final : public BlockScan {
   BlockId Next(double* key_dist) override {
     for (;;) {
       KNNQ_DCHECK(!heap_.empty());
-      const Entry top = heap_.top();
-      heap_.pop();
+      const Entry top = heap_.pop();
       if (top.sentinel) {
         ++opened_;
-        auto scan = owner_.shard(top.shard).NewScan(query_, order_);
-        PushNextOf(top.shard, *scan);
-        scans_[top.shard] = std::move(scan);
+        BlockScan& scan = owner_.shard(top.shard).RestartScan(
+            &scans_[top.shard], query_, order_);
+        PushNextOf(top.shard, scan);
         continue;
       }
       PushNextOf(top.shard, *scans_[top.shard]);
       *key_dist = top.key;
       return static_cast<BlockId>(block_offset_[top.shard] + top.block);
+    }
+  }
+
+  void Restart(const Point& query, ScanOrder order) override {
+    query_ = query;
+    order_ = order;
+    heap_.clear();
+    non_empty_ = 0;
+    opened_ = 0;
+    for (std::size_t s = 0; s < owner_.num_shards(); ++s) {
+      if (owner_.shard(s).num_blocks() == 0) continue;
+      ++non_empty_;
+      heap_.push(Entry{.key = owner_.ShardScanBounds(s).MinDist(query_),
+                       .shard = s,
+                       .block = kInvalidBlockId,
+                       .sentinel = true});
     }
   }
 
@@ -144,10 +151,11 @@ class ShardedBlockScan final : public BlockScan {
 
   const ShardedIndex& owner_;
   const std::vector<std::size_t>& block_offset_;
-  const Point query_;
-  const ScanOrder order_;
+  Point query_;
+  ScanOrder order_ = ScanOrder::kMinDist;
+  /// Per shard: the child scan, once opened. Kept across Restart.
   std::vector<std::unique_ptr<BlockScan>> scans_;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
+  ScanHeap<Entry> heap_;
   std::size_t non_empty_ = 0;
   std::size_t opened_ = 0;
 };
@@ -165,19 +173,21 @@ std::size_t ShardPartition::Route(double x, double y) const {
       if (node < 0) return static_cast<std::size_t>(~node);
     }
   }
-  // Grid tiling: clamp into the frame, then flatten.
+  // Grid tiling: clamp into the frame, then flatten. The clamp runs in
+  // double: a point far outside the frame has a tile coordinate past
+  // what size_t holds, and that conversion is undefined.
+  const auto tile = [](double fraction, std::size_t tiles) {
+    const double t = std::floor(fraction * static_cast<double>(tiles));
+    if (!(t > 0.0)) return std::size_t{0};
+    const double last = static_cast<double>(tiles - 1);
+    return t >= last ? tiles - 1 : static_cast<std::size_t>(t);
+  };
   std::size_t i = 0, j = 0;
   if (!frame.empty() && frame.width() > 0.0) {
-    const double fx = (x - frame.min_x()) / frame.width();
-    i = std::min(grid_cols - 1,
-                 static_cast<std::size_t>(std::max(
-                     0.0, std::floor(fx * static_cast<double>(grid_cols)))));
+    i = tile((x - frame.min_x()) / frame.width(), grid_cols);
   }
   if (!frame.empty() && frame.height() > 0.0) {
-    const double fy = (y - frame.min_y()) / frame.height();
-    j = std::min(grid_rows - 1,
-                 static_cast<std::size_t>(std::max(
-                     0.0, std::floor(fy * static_cast<double>(grid_rows)))));
+    j = tile((y - frame.min_y()) / frame.height(), grid_rows);
   }
   return std::min(j * grid_cols + i, num_shards - 1);
 }

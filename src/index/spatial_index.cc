@@ -14,6 +14,17 @@ std::uint64_t SpatialIndex::NextInstanceId() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
+BlockScan& SpatialIndex::RestartScan(std::unique_ptr<BlockScan>* held,
+                                     const Point& query,
+                                     ScanOrder order) const {
+  if (*held == nullptr) {
+    *held = NewScan(query, order);
+  } else {
+    (*held)->Restart(query, order);
+  }
+  return **held;
+}
+
 bool SpatialIndex::HasPoint(PointId id) const {
   BlockId block = kInvalidBlockId;
   std::size_t pos = 0;

@@ -51,7 +51,10 @@ enum class ScanOrder {
 };
 
 /// Lazily yields blocks in the requested distance order. Obtained from
-/// SpatialIndex::NewScan; cheap enough to create per query point.
+/// SpatialIndex::NewScan, which allocates the scan object; a loop that
+/// scans once per probe point holds one scan and Restarts it per point
+/// (SpatialIndex::RestartScan), so after the first few points the scan
+/// reuses its heap storage and allocates nothing.
 class BlockScan {
  public:
   virtual ~BlockScan() = default;
@@ -63,6 +66,13 @@ class BlockScan {
   /// block's MINDIST or MAXDIST (true distance, not squared) from the
   /// scan's query point. Requires HasNext().
   virtual BlockId Next(double* key_dist) = 0;
+
+  /// Re-aims the scan at `query` in `order`, keeping its storage: from
+  /// here on it yields exactly the (block, key) sequence a fresh
+  /// NewScan(query, order) on the same index would, whatever was left
+  /// unpopped before, and shards_pruned() starts over. The index must
+  /// not have been mutated since the scan was created.
+  virtual void Restart(const Point& query, ScanOrder order) = 0;
 
   /// Shards whose blocks this scan never had to open because the scan
   /// was abandoned before their distance lower bound came up. Only
@@ -185,6 +195,12 @@ class SpatialIndex {
   /// Starts a lazy block scan ordered by `order` from `query`.
   virtual std::unique_ptr<BlockScan> NewScan(const Point& query,
                                              ScanOrder order) const = 0;
+
+  /// Aims the scan a probe loop holds in `*held` at `query`: creates it
+  /// with NewScan on first use, restarts it afterwards. `*held` must be
+  /// empty or hold a scan of this index. Returns the scan.
+  BlockScan& RestartScan(std::unique_ptr<BlockScan>* held, const Point& query,
+                         ScanOrder order) const;
 
   /// One-line structural description, e.g. "grid 64x48, 3072 blocks".
   virtual std::string Describe() const = 0;

@@ -6,9 +6,17 @@ namespace knnq {
 
 TreeScan::TreeScan(const std::vector<TreeNode>& nodes, std::size_t root,
                    const Point& query, ScanOrder order)
-    : nodes_(nodes), query_(query), order_(order) {
-  if (root < nodes_.size()) {
-    heap_.push(Entry{KeyOf(nodes_[root]), static_cast<std::uint32_t>(root)});
+    : nodes_(nodes), root_(root) {
+  Restart(query, order);
+}
+
+void TreeScan::Restart(const Point& query, ScanOrder order) {
+  query_ = query;
+  order_ = order;
+  heap_.clear();
+  if (root_ < nodes_.size()) {
+    heap_.push(
+        Entry{KeyOf(nodes_[root_]), static_cast<std::uint32_t>(root_)});
   }
 }
 
@@ -23,8 +31,7 @@ double TreeScan::KeyOf(const TreeNode& node) const {
 
 void TreeScan::SettleTop() {
   while (!heap_.empty()) {
-    const Entry top = heap_.top();
-    const TreeNode& node = nodes_[top.node];
+    const TreeNode& node = nodes_[heap_.top().node];
     if (node.is_leaf()) return;
     heap_.pop();
     for (std::uint32_t c = 0; c < node.num_children; ++c) {
@@ -42,8 +49,7 @@ bool TreeScan::HasNext() {
 BlockId TreeScan::Next(double* key_dist) {
   SettleTop();
   KNNQ_CHECK_MSG(!heap_.empty(), "Next() past the end of a tree scan");
-  const Entry top = heap_.top();
-  heap_.pop();
+  const Entry top = heap_.pop();
   if (key_dist != nullptr) *key_dist = top.key;
   return nodes_[top.node].block;
 }

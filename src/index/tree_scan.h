@@ -16,10 +16,10 @@
 #define KNNQ_SRC_INDEX_TREE_SCAN_H_
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "src/common/bbox.h"
+#include "src/index/scan_heap.h"
 #include "src/index/spatial_index.h"
 
 namespace knnq {
@@ -49,6 +49,7 @@ class TreeScan final : public BlockScan {
 
   bool HasNext() override;
   BlockId Next(double* key_dist) override;
+  void Restart(const Point& query, ScanOrder order) override;
 
  private:
   struct Entry {
@@ -66,9 +67,10 @@ class TreeScan final : public BlockScan {
   double KeyOf(const TreeNode& node) const;
 
   const std::vector<TreeNode>& nodes_;
-  const Point query_;
-  const ScanOrder order_;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
+  const std::size_t root_;
+  Point query_;
+  ScanOrder order_ = ScanOrder::kMinDist;
+  ScanHeap<Entry> heap_;
 };
 
 }  // namespace knnq

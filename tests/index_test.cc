@@ -15,6 +15,7 @@
 namespace knnq {
 namespace {
 
+using testing::ExpectSameScans;
 using testing::MakeCity;
 using testing::MakeClustered;
 using testing::MakeIndex;
@@ -149,8 +150,13 @@ TEST_P(IndexContractTest, MaxDistScanYieldsAllBlocksInOrder) {
 TEST_P(IndexContractTest, ScansHandleQueriesOutsideTheBounds) {
   // Queries far outside the data's bounding box must still order all
   // blocks correctly (Procedure 1 scans from arbitrary outer points).
+  // The far ones put the grid's cell coordinate past what size_t holds
+  // (and, at 1e300, every key at +inf).
   for (const Point query : {Point{.id = -1, .x = -5000, .y = -5000},
-                            Point{.id = -1, .x = 99999, .y = 400}}) {
+                            Point{.id = -1, .x = 99999, .y = 400},
+                            Point{.id = -1, .x = 1e25, .y = 0},
+                            Point{.id = -1, .x = -1e25, .y = 1e25},
+                            Point{.id = -1, .x = 1e300, .y = -1e300}}) {
     for (const ScanOrder order : {ScanOrder::kMinDist, ScanOrder::kMaxDist}) {
       auto scan = index_->NewScan(query, order);
       std::size_t count = 0;
@@ -165,6 +171,11 @@ TEST_P(IndexContractTest, ScansHandleQueriesOutsideTheBounds) {
       EXPECT_EQ(count, index_->num_blocks());
     }
   }
+}
+
+TEST_P(IndexContractTest, RestartedScanYieldsWhatAFreshScanYields) {
+  auto held = index_->NewScan(points_[0], ScanOrder::kMaxDist);
+  ExpectSameScans(*index_, *held);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,25 +1,58 @@
 // Tests for the raw-speed kernel layer: the batched distance kernel
 // (scalar and SIMD paths must agree with the per-point reference
 // bit-for-bit), the allocation-free TopKQueue, the SoA column mirror,
-// bound-based block skipping, and the per-searcher arena's steady-state
-// reuse. The overarching contract is byte-identity: none of these
+// bound-based block skipping, the per-searcher arena's steady-state
+// reuse, and the allocation count of warm searches and probe loops.
+// The overarching contract is byte-identity: none of these
 // optimizations may change a single result bit.
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <queue>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/common/point.h"
+#include "src/core/select_inner_join.h"
 #include "src/index/distance_kernel.h"
 #include "src/index/knn_searcher.h"
 #include "src/index/spatial_index.h"
 #include "src/index/topk.h"
 #include "tests/test_util.h"
+
+// ------------------------------------------------------- alloc counter
+// Replacement global allocator that counts every operator new, so the
+// allocation tests below can assert exactly how often a warm search
+// allocates. Replaceable operators need external linkage, hence global
+// scope; each test file is its own binary, so the override is local to
+// this suite. The deletes stay out of line: inlined, GCC pairs their
+// free() with the caller's operator new and warns of a mismatch.
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace knnq {
 namespace {
@@ -299,6 +332,97 @@ TEST(ArenaTest, FootprintIsStableAcrossRepeatedQueries) {
   EXPECT_EQ(searcher.arena().bytes(), warm)
       << "arena grew on a replayed workload - the steady state allocates";
   EXPECT_EQ(searcher.stats().arena_bytes, warm_gauge);
+}
+
+// --- Allocations: held scans are restarted, not re-created ---
+
+/// Every structure, plus a sharded grid (whose merged scan holds one
+/// child scan per shard).
+std::vector<std::unique_ptr<SpatialIndex>> AllocationIndexes(
+    const PointSet& points) {
+  std::vector<std::unique_ptr<SpatialIndex>> indexes;
+  for (const IndexType type : AllIndexTypes()) {
+    indexes.push_back(MakeIndex(points, type));
+  }
+  IndexOptions sharded;
+  sharded.block_capacity = 16;
+  sharded.shards = 4;
+  indexes.push_back(std::move(BuildIndex(points, sharded)).value());
+  return indexes;
+}
+
+std::vector<Point> RandomQueries(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Point> queries;
+  for (std::size_t i = 0; i < n; ++i) {
+    queries.push_back(Point{.id = -1,
+                            .x = rng.Uniform(-100, 1100),
+                            .y = rng.Uniform(-100, 900)});
+  }
+  return queries;
+}
+
+TEST(AllocationTest, WarmGetKnnAllocatesOnlyTheReturnedNeighborhood) {
+  const PointSet points = MakeCity(2500, 41);
+  const std::vector<Point> queries = RandomQueries(60, 47);
+  for (const auto& index : AllocationIndexes(points)) {
+    KnnSearcher searcher(*index);
+    // Warm-up: buffers and held scans grow to the workload's high-water
+    // mark; the replay then reuses all of them.
+    for (const Point& q : queries) (void)searcher.GetKnn(q, 3);
+    const std::uint64_t before = g_allocations.load();
+    for (const Point& q : queries) (void)searcher.GetKnn(q, 3);
+    // One allocation per call is the returned Neighborhood; anything
+    // more is per-query scratch.
+    EXPECT_EQ(g_allocations.load() - before, queries.size())
+        << index->Describe();
+  }
+}
+
+TEST(AllocationTest, WarmRestartedScanAllocatesNothing) {
+  const PointSet points = MakeCity(2500, 41);
+  const std::vector<Point> queries = RandomQueries(60, 53);
+  for (const auto& index : AllocationIndexes(points)) {
+    std::unique_ptr<BlockScan> held;
+    const auto drain_all = [&] {
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        const ScanOrder order =
+            i % 2 == 0 ? ScanOrder::kMinDist : ScanOrder::kMaxDist;
+        BlockScan& scan = index->RestartScan(&held, queries[i], order);
+        double key = 0.0;
+        while (scan.HasNext()) scan.Next(&key);
+      }
+    };
+    drain_all();
+    const std::uint64_t before = g_allocations.load();
+    drain_all();
+    EXPECT_EQ(g_allocations.load() - before, 0u) << index->Describe();
+  }
+}
+
+TEST(AllocationTest, CountingProbeLoopAllocatesLessThanOncePerOuterPoint) {
+  // Procedure 1 scans the inner relation once per outer point; with
+  // the focal point in a corner most outer points are pruned by that
+  // scan alone, so a loop that allocated per scan would allocate at
+  // least once per outer point.
+  const PointSet outer = MakeUniform(5000, 59);
+  const PointSet inner = MakeUniform(5000, 61, /*first_id=*/100000);
+  for (const IndexType type : AllIndexTypes()) {
+    const auto outer_index = MakeIndex(outer, type);
+    const auto inner_index = MakeIndex(inner, type);
+    const SelectInnerJoinQuery query{.outer = outer_index.get(),
+                                     .inner = inner_index.get(),
+                                     .join_k = 3,
+                                     .focal = Point{.id = -1, .x = 0, .y = 0},
+                                     .select_k = 4};
+    SelectInnerJoinStats stats;
+    const std::uint64_t before = g_allocations.load();
+    const auto pairs = SelectInnerJoinCounting(query, &stats);
+    const std::uint64_t allocations = g_allocations.load() - before;
+    ASSERT_TRUE(pairs.ok());
+    EXPECT_GT(stats.pruned_points, outer.size() / 2) << ToString(type);
+    EXPECT_LT(allocations, outer.size()) << ToString(type);
+  }
 }
 
 }  // namespace

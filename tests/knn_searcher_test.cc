@@ -158,6 +158,29 @@ TEST(KnnSearcherTest, DuplicatePointsAllRanked) {
   }
 }
 
+TEST(KnnSearcherTest, FarQueriesMatchBruteForce) {
+  // KNNQL accepts any finite focal point. These lie past what a grid
+  // cell coordinate can hold as size_t; at 1e300 every distance is
+  // +inf and ranking falls back to ids. One searcher serves every
+  // query, so its held scans are restarted across near and far aims.
+  const PointSet points = MakeCity(800, 5);
+  for (const IndexType type : AllIndexTypes()) {
+    const auto index = MakeIndex(points, type);
+    KnnSearcher searcher(*index);
+    for (const Point& q : {Point{.id = -1, .x = 1e25, .y = 0},
+                           Point{.id = -1, .x = -1e25, .y = 400},
+                           Point{.id = -1, .x = 300, .y = 1e22},
+                           Point{.id = -1, .x = 500, .y = 400},
+                           Point{.id = -1, .x = 1e300, .y = -1e300},
+                           Point{.id = -1, .x = -1e300, .y = 0}}) {
+      for (const std::size_t k : {1, 7}) {
+        EXPECT_EQ(searcher.GetKnn(q, k), BruteForceKnn(points, q, k))
+            << ToString(type) << " k=" << k << " at " << q.ToString();
+      }
+    }
+  }
+}
+
 TEST(KnnSearcherTest, QueryOnDataPointIncludesItself) {
   const PointSet points = MakeUniform(100, 7);
   const auto index = MakeIndex(points);

@@ -1,16 +1,18 @@
 // Shared helpers for the knnq test suite: dataset builders, index
-// construction shortcuts, and independent brute-force reference
-// implementations of every query class. The references deliberately use
-// only BruteForceKnn over raw point sets - no index, no locality, no
-// block pruning - so agreement with the optimized evaluators is
-// meaningful evidence of correctness.
+// construction shortcuts, independent brute-force reference
+// implementations of every query class, and block scan checks. The
+// references deliberately use only BruteForceKnn over raw point sets -
+// no index, no locality, no block pruning - so agreement with the
+// optimized evaluators is meaningful evidence of correctness.
 
 #ifndef KNNQ_TESTS_TEST_UTIL_H_
 #define KNNQ_TESTS_TEST_UTIL_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "gtest/gtest.h"
 #include "src/common/point.h"
 #include "src/common/random.h"
 #include "src/core/result_types.h"
@@ -143,6 +145,71 @@ inline TwoSelectsResult RefTwoSelects(const PointSet& relation,
 /// All index types, for parameterized suites.
 inline std::vector<IndexType> AllIndexTypes() {
   return {IndexType::kGrid, IndexType::kQuadtree, IndexType::kRTree};
+}
+
+// --- Block scan checks ---
+
+/// The (block, key) pairs a scan yields, in order.
+using ScanTrace = std::vector<std::pair<BlockId, double>>;
+
+/// Pops up to `limit` blocks of `scan`.
+inline ScanTrace PopBlocks(BlockScan& scan, std::size_t limit) {
+  ScanTrace trace;
+  while (trace.size() < limit && scan.HasNext()) {
+    double key = 0.0;
+    const BlockId id = scan.Next(&key);
+    trace.emplace_back(id, key);
+  }
+  return trace;
+}
+
+/// Aims for restart checks: inside the test frame, on indexed points,
+/// outside the frame, far past what a grid cell coordinate holds as
+/// size_t, so far that every key is +inf, and repeated.
+inline std::vector<Point> RestartAims(const PointSet& points) {
+  std::vector<Point> aims;
+  const auto aim = [&aims](double x, double y) {
+    aims.push_back(Point{.id = -1, .x = x, .y = y});
+  };
+  aim(137, 212);
+  aims.push_back(points.front());
+  aim(900, 50);
+  aims.push_back(points[points.size() / 2]);
+  aim(-5000, 0);
+  aim(99999, 400);
+  aim(1e25, 0);
+  aim(-7, -1e25);
+  aim(1e300, 0);
+  aims.push_back(points.back());
+  aims.push_back(points.back());
+  aim(137, 212);
+  aim(137, 212);
+  return aims;
+}
+
+/// Restarts `held`, a scan of `index`, at each RestartAims point in
+/// turn with alternating orders, and expects it to yield exactly what a
+/// fresh NewScan of the same aim yields, with the same shards_pruned().
+/// Every third aim drains both scans; the others stop after a few
+/// blocks, leaving entries behind that the next Restart must discard.
+/// Returns the sum of shards_pruned() over the aims.
+inline std::size_t ExpectSameScans(const SpatialIndex& index,
+                                   BlockScan& held) {
+  const std::vector<Point> aims = RestartAims(index.points());
+  std::size_t pruned = 0;
+  for (std::size_t i = 0; i < aims.size(); ++i) {
+    const ScanOrder order =
+        i % 2 == 0 ? ScanOrder::kMinDist : ScanOrder::kMaxDist;
+    const std::size_t limit = i % 3 == 0 ? index.num_blocks() : 1 + i;
+    held.Restart(aims[i], order);
+    auto fresh = index.NewScan(aims[i], order);
+    EXPECT_EQ(PopBlocks(held, limit), PopBlocks(*fresh, limit))
+        << "aim " << i << " at " << aims[i].ToString();
+    EXPECT_EQ(held.shards_pruned(), fresh->shards_pruned())
+        << "aim " << i << " at " << aims[i].ToString();
+    pruned += held.shards_pruned();
+  }
+  return pruned;
 }
 
 }  // namespace knnq::testing
