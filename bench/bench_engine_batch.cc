@@ -164,7 +164,7 @@ const QueryEngine& EngineWith(std::size_t threads, std::size_t cache_mb) {
   if (slot == nullptr) {
     EngineOptions options;
     options.num_threads = threads;
-    options.planner.cache_mb = cache_mb;
+    options.cache_mb = cache_mb;
     slot = std::make_unique<QueryEngine>(MakeCatalog(), options);
   }
   return *slot;
@@ -329,7 +329,7 @@ void RunChurnBenchmark(benchmark::State& state, const std::string& name,
                        std::size_t threads, std::size_t cache_mb) {
   EngineOptions options;
   options.num_threads = threads;
-  options.planner.cache_mb = cache_mb;
+  options.cache_mb = cache_mb;
   QueryEngine engine(MakeCatalog(), options);
   const std::vector<QuerySpec> specs = SkewedSpecs();
 

@@ -15,18 +15,24 @@
 // searches always pass through - keeping cached and uncached execution
 // byte-identical.
 //
-// Concurrency: the key space is split over power-of-two shards, each a
-// mutex-protected LRU list + hash map. Eviction is LRU per shard with a
-// byte budget of capacity_bytes / num_shards. Hit/miss/eviction
-// counters are relaxed atomics; exact cross-shard snapshots are not
-// needed, only monotone totals.
+// Layout: the key space is split over power-of-two shards, each one
+// mutex guarding a flat table. An entry is ONE allocation holding its
+// key, its intrusive LRU links and its neighbors inline; the shard
+// finds it through an open-addressing index of entry pointers (linear
+// probing, backward-shift deletion, power-of-two size, at most half
+// full). Eviction is LRU per shard with a byte budget of
+// capacity_bytes / num_shards, and an entry is charged what it really
+// holds: its malloc chunk plus its two index slots. Hit, miss,
+// insertion, eviction and invalidation counts are plain per-shard
+// fields under the shard mutex, summed by GetStats(); only the total
+// footprint is an atomic, so size_bytes() can read it without a lock.
 
 #ifndef KNNQ_SRC_ENGINE_NEIGHBORHOOD_CACHE_H_
 #define KNNQ_SRC_ENGINE_NEIGHBORHOOD_CACHE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -71,6 +77,7 @@ struct NeighborhoodCacheStats {
 class NeighborhoodCache {
  public:
   explicit NeighborhoodCache(NeighborhoodCacheOptions options = {});
+  ~NeighborhoodCache();
 
   NeighborhoodCache(const NeighborhoodCache&) = delete;
   NeighborhoodCache& operator=(const NeighborhoodCache&) = delete;
@@ -87,9 +94,10 @@ class NeighborhoodCache {
               std::size_t k, Neighborhood* out);
 
   /// Memoizes a computed neighborhood. Entries larger than a whole
-  /// shard's budget are dropped; otherwise the shard evicts LRU-first
-  /// until the new entry fits. Inserting a key that is already present
-  /// (a concurrent miss on both threads) only refreshes its position.
+  /// shard's budget are dropped before anything is allocated;
+  /// otherwise the shard evicts LRU-first until the new entry fits.
+  /// Inserting a key that is already present (a concurrent miss on
+  /// both threads) only refreshes its position.
   void Insert(const SpatialIndex* relation, const Point& query,
               std::size_t k, const Neighborhood& neighborhood);
 
@@ -134,60 +142,22 @@ class NeighborhoodCache {
   std::size_t capacity_bytes() const { return capacity_bytes_; }
 
  private:
-  /// Coordinates are keyed by BIT PATTERN, not double equality: hashing
-  /// already inspects the bits, and defaulted double comparison would
-  /// break the map's hash/equality contract for -0.0 vs +0.0 and make
-  /// NaN keys (NaN != NaN) unfindable - and thus unevictable.
-  struct Key {
-    /// SpatialIndex::instance_id() of the relation (or shard child).
-    std::uint64_t relation_id;
-    std::uint64_t x_bits;
-    std::uint64_t y_bits;
-    std::size_t k;
+  /// One lock domain: a flat table plus its LRU list and counters.
+  /// Defined in neighborhood_cache.cc.
+  struct Shard;
 
-    bool operator==(const Key&) const = default;
-  };
-
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const;
-  };
-
-  struct Entry {
-    Key key;
-    Neighborhood neighborhood;
-    std::size_t bytes;
-  };
-
-  /// One lock domain. LRU list front = most recently used.
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Entry> lru;
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> map;
-    std::size_t bytes = 0;
-  };
-
-  static Key MakeKey(const SpatialIndex* relation, const Point& query,
-                     std::size_t k);
+  Shard& ShardFor(std::uint64_t hash);
 
   /// Drops every entry keyed under `relation_id` (generation records
   /// are left alone — only RetireRelation forgets those).
   void DropEntries(std::uint64_t relation_id);
 
-  /// Approximate heap charge of one entry (list node + map node + the
-  /// neighborhood's own allocation).
-  static std::size_t EntryCost(const Neighborhood& neighborhood);
-
-  Shard& ShardFor(const Key& key);
-
   const std::size_t capacity_bytes_;
   const std::size_t shard_capacity_;
+  /// log2 of the shard count: a key's shard is its hash's top bits.
+  const int shard_bits_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::size_t> bytes_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> insertions_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> invalidated_{0};
   std::atomic<std::uint64_t> generation_{0};
   /// Last generation observed per relation instance id (per-relation
   /// invalidation).

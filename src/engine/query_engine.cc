@@ -1,6 +1,7 @@
 #include "src/engine/query_engine.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <latch>
 #include <mutex>
 #include <optional>
@@ -29,13 +30,10 @@ std::size_t ResolveThreads(std::size_t requested) {
   return hw > 0 ? hw : 1;
 }
 
-/// Folds the deprecated knob homes into the canonical EngineOptions
-/// fields, so the rest of the engine reads exactly one place:
-/// cache_mb absorbs PlannerOptions::cache_mb, shards is reconciled
-/// with IndexOptions::shards (both written back, max wins).
+/// Folds the deprecated knob home into the canonical EngineOptions
+/// field, so the rest of the engine reads exactly one place: shards is
+/// reconciled with IndexOptions::shards (both written back, max wins).
 EngineOptions NormalizeOptions(EngineOptions options) {
-  options.cache_mb = std::max(options.cache_mb, options.planner.cache_mb);
-  options.planner.cache_mb = options.cache_mb;
   options.shards = std::max(
       {options.shards, options.index_options.shards, std::size_t{1}});
   options.index_options.shards = options.shards;
@@ -45,7 +43,10 @@ EngineOptions NormalizeOptions(EngineOptions options) {
 std::unique_ptr<NeighborhoodCache> MakeCache(const EngineOptions& options) {
   if (options.cache_mb == 0) return nullptr;
   NeighborhoodCacheOptions cache_options;
-  cache_options.capacity_bytes = options.cache_mb << 20;
+  // Saturate, never wrap: a budget past the address space means "no
+  // budget", not a few bytes.
+  cache_options.capacity_bytes =
+      options.cache_mb > (SIZE_MAX >> 20) ? SIZE_MAX : options.cache_mb << 20;
   return std::make_unique<NeighborhoodCache>(cache_options);
 }
 

@@ -98,9 +98,11 @@ struct EngineOptions {
   std::size_t num_threads = 0;
 
   /// Byte budget (in MiB) of the engine-owned cross-query neighborhood
-  /// cache; 0 disables it. Canonical home of the knob; the historical
-  /// PlannerOptions::cache_mb still works as a fallback (the effective
-  /// budget is the max of the two).
+  /// cache (src/engine/neighborhood_cache.h); 0 disables it. A budget
+  /// whose byte count would not fit in size_t saturates to SIZE_MAX.
+  /// Helps skewed batches (repeated focal points / repeated join specs)
+  /// and is near-neutral on uniform ones; see README "Cross-query
+  /// neighborhood cache" for sizing guidance.
   std::size_t cache_mb = 0;
 
   /// Spatial shards per relation. 1 (default) keeps the historical
@@ -243,9 +245,9 @@ class QueryEngine {
   /// The effective shards-per-relation count (1 = unsharded engine).
   std::size_t shards() const { return options_.shards; }
 
-  /// The engine's cross-query neighborhood cache; null when the
-  /// effective cache_mb is 0. Exposed for stats inspection (hit rate,
-  /// footprint) and explicit Clear().
+  /// The engine's cross-query neighborhood cache; null when cache_mb
+  /// is 0. Exposed for stats inspection (hit rate, footprint) and
+  /// explicit Clear().
   NeighborhoodCache* neighborhood_cache() const { return cache_.get(); }
 
   /// Plans and executes one query on the calling thread. Safe to call

@@ -47,13 +47,6 @@ struct PlannerOptions {
   /// Chained joins: memoize b-neighborhoods (Section 4.2.1).
   bool cache_chained = true;
 
-  /// Byte budget (in MiB) of the engine-owned cross-query neighborhood
-  /// cache (src/engine/neighborhood_cache.h); 0 disables it. Helps
-  /// skewed batches (repeated focal points / repeated join specs) and
-  /// is near-neutral on uniform ones; see README "Cross-query
-  /// neighborhood cache" for sizing guidance.
-  std::size_t cache_mb = 0;
-
   /// Force the conceptually correct QEP regardless of statistics - the
   /// baseline every experiment compares against.
   bool force_naive = false;

@@ -386,7 +386,7 @@ TEST(PerRelationInvalidationTest, MutatingOneRelationKeepsOthersHot) {
       catalog.AddRelation("b", MakeCity(400, 22, 100000), grid).ok());
   EngineOptions options;
   options.num_threads = 1;
-  options.planner.cache_mb = 16;
+  options.cache_mb = 16;
   QueryEngine engine(std::move(catalog), options);
 
   const QuerySpec on_a = TwoSelectsSpec{
@@ -444,7 +444,7 @@ TEST(ConcurrentMutationTest, ReadersRaceOneWriterSafely) {
   };
   EngineOptions options;
   options.num_threads = 4;
-  options.planner.cache_mb = 8;
+  options.cache_mb = 8;
   QueryEngine engine(CatalogFrom(shadows, IndexType::kGrid), options);
 
   constexpr std::size_t kReaderRounds = 20;

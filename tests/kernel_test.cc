@@ -2,7 +2,8 @@
 // (scalar and SIMD paths must agree with the per-point reference
 // bit-for-bit), the allocation-free TopKQueue, the SoA column mirror,
 // bound-based block skipping, the per-searcher arena's steady-state
-// reuse, and the allocation count of warm searches and probe loops.
+// reuse, and the allocation count of warm searches, cached searches and
+// probe loops.
 // The overarching contract is byte-identity: none of these
 // optimizations may change a single result bit.
 
@@ -20,6 +21,7 @@
 #include "gtest/gtest.h"
 #include "src/common/point.h"
 #include "src/core/select_inner_join.h"
+#include "src/engine/neighborhood_cache.h"
 #include "src/index/distance_kernel.h"
 #include "src/index/knn_searcher.h"
 #include "src/index/spatial_index.h"
@@ -376,6 +378,43 @@ TEST(AllocationTest, WarmGetKnnAllocatesOnlyTheReturnedNeighborhood) {
     // more is per-query scratch.
     EXPECT_EQ(g_allocations.load() - before, queries.size())
         << index->Describe();
+  }
+}
+
+TEST(AllocationTest, CachedHitAllocatesOnlyTheReturnedNeighborhood) {
+  const PointSet points = MakeCity(2500, 41);
+  const std::vector<Point> queries = RandomQueries(60, 49);
+  for (const IndexType type : AllIndexTypes()) {
+    const auto index = MakeIndex(points, type);
+    NeighborhoodCache cache;
+    CachingKnnSearcher searcher(*index, &cache);
+    for (const Point& q : queries) (void)searcher.GetKnn(q, 3);  // Fill.
+    const std::uint64_t before = g_allocations.load();
+    for (const Point& q : queries) (void)searcher.GetKnn(q, 3);
+    EXPECT_EQ(searcher.stats().cache_hits, queries.size());
+    EXPECT_EQ(g_allocations.load() - before, queries.size())
+        << ToString(type);
+  }
+}
+
+TEST(AllocationTest, CachedMissAllocatesTheResultAndOneEntry) {
+  const PointSet points = MakeCity(2500, 41);
+  const std::vector<Point> queries = RandomQueries(60, 51);
+  for (const IndexType type : AllIndexTypes()) {
+    const auto index = MakeIndex(points, type);
+    NeighborhoodCache cache;
+    CachingKnnSearcher searcher(*index, &cache);
+    // The first pass warms the searcher's scratch and sizes every
+    // shard's index for these keys; dropping the entries keeps both, so
+    // the replay's misses allocate only what each one must.
+    for (const Point& q : queries) (void)searcher.GetKnn(q, 3);
+    cache.InvalidateRelation(index.get());
+    const std::uint64_t before = g_allocations.load();
+    for (const Point& q : queries) (void)searcher.GetKnn(q, 3);
+    EXPECT_EQ(searcher.stats().cache_misses, 2 * queries.size());
+    EXPECT_EQ(cache.GetStats().insertions, 2 * queries.size());
+    EXPECT_EQ(g_allocations.load() - before, 2 * queries.size())
+        << ToString(type);
   }
 }
 

@@ -746,7 +746,7 @@ TEST(ServerConcurrencyTest, ClientsRaceDmlAgainstQueries) {
   EngineOptions engine_options;
   engine_options.num_threads = 4;
   engine_options.pool_queue_limit = 256;
-  engine_options.planner.cache_mb = 8;  // Exercise invalidation too.
+  engine_options.cache_mb = 8;  // Exercise invalidation too.
   ServerFixture fixture(options, engine_options);
 
   constexpr int kQueryClients = 3;
@@ -904,7 +904,7 @@ TEST(ServerDifferentialTest, ResponsesMatchLocalExecutionOnExamples) {
     };
     EngineOptions server_engine_options;
     server_engine_options.num_threads = 2;
-    server_engine_options.planner.cache_mb = 8;
+    server_engine_options.cache_mb = 8;
     QueryEngine served(make_catalog(), server_engine_options);
     EngineOptions local_options;
     local_options.num_threads = 1;

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <utility>
@@ -254,17 +255,42 @@ TEST(ShardedEngineTest, DeprecatedForwardersLowerToExecuteDml) {
 
 // --- Satellite: EngineOptions normalization ---
 
-TEST(ShardedEngineTest, CacheKnobFallsBackToPlannerOptions) {
+TEST(ShardedEngineTest, CacheKnobSizesTheEngineCache) {
   EngineOptions options;
-  options.planner.cache_mb = 8;  // Historical knob only.
+  options.cache_mb = 8;
   const QueryEngine engine(MakeCatalog(), options);
   EXPECT_EQ(engine.options().cache_mb, 8u);
-  EXPECT_EQ(engine.options().planner.cache_mb, 8u);
-  EXPECT_NE(engine.neighborhood_cache(), nullptr);
+  ASSERT_NE(engine.neighborhood_cache(), nullptr);
+  EXPECT_EQ(engine.neighborhood_cache()->capacity_bytes(), 8u << 20);
 
   EngineOptions off;
   const QueryEngine uncached(MakeCatalog(), off);
   EXPECT_EQ(uncached.neighborhood_cache(), nullptr);
+}
+
+TEST(ShardedEngineTest, CacheKnobSaturatesInsteadOfWrapping) {
+  // 2^44 MiB is 2^64 bytes: a shift would wrap it to a 0-byte cache
+  // that never hits. The engine saturates to SIZE_MAX instead.
+  EngineOptions options;
+  options.num_threads = 1;
+  options.cache_mb = std::size_t{1} << 44;
+  const QueryEngine engine(MakeCatalog(), options);
+  ASSERT_NE(engine.neighborhood_cache(), nullptr);
+  EXPECT_EQ(engine.neighborhood_cache()->capacity_bytes(), SIZE_MAX);
+  const QuerySpec spec = MixedSpecs(1).front();
+  ASSERT_TRUE(engine.Run(spec).ok());
+  const EngineResult warm = engine.Run(spec);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_GT(warm.stats.cache_hits, 0u);
+  EXPECT_GT(warm.stats.cache_bytes, 0u);
+
+  // The largest budget that fits is taken exactly.
+  EngineOptions largest;
+  largest.cache_mb = SIZE_MAX >> 20;
+  const QueryEngine exact(MakeCatalog(), largest);
+  ASSERT_NE(exact.neighborhood_cache(), nullptr);
+  EXPECT_EQ(exact.neighborhood_cache()->capacity_bytes(),
+            (SIZE_MAX >> 20) << 20);
 }
 
 TEST(ShardedEngineTest, ShardKnobReconcilesWithIndexOptions) {

@@ -66,6 +66,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -194,6 +195,18 @@ class Args {
  private:
   std::map<std::string, std::vector<std::string>> values_;
 };
+
+/// --cache-mb, the neighborhood cache budget in MiB taken by every
+/// command that runs queries; absent means 0 (no cache). A budget whose
+/// byte count would not fit in size_t is refused rather than wrapped.
+Result<std::size_t> GetCacheMb(const Args& args) {
+  auto cache_mb = args.GetSizeOr("--cache-mb", 0);
+  if (cache_mb.ok() && *cache_mb > (SIZE_MAX >> 20)) {
+    return Status::InvalidArgument("--cache-mb must be <= " +
+                                   std::to_string(SIZE_MAX >> 20));
+  }
+  return cache_mb;
+}
 
 bool EndsWith(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
@@ -638,6 +651,8 @@ int CmdQuery(const Args& args) {
   }
   auto index_options = ParseIndexFlags(args);
   if (!index_options.ok()) return Fail(index_options.status());
+  auto cache_mb = GetCacheMb(args);
+  if (!cache_mb.ok()) return Fail(cache_mb.status());
 
   Catalog catalog;
   // Relations load unsharded; the engine reshards them itself when
@@ -649,8 +664,6 @@ int CmdQuery(const Args& args) {
     return Fail(s);
   }
 
-  auto cache_mb = args.GetSizeOr("--cache-mb", 0);
-  if (!cache_mb.ok()) return Fail(cache_mb.status());
   EngineOptions options;
   options.num_threads = 1;  // Statements run one at a time.
   options.cache_mb = *cache_mb;
@@ -756,7 +769,7 @@ int CmdServe(const Args& args) {
     }
   }
 
-  auto cache_mb = args.GetSizeOr("--cache-mb", 0);
+  auto cache_mb = GetCacheMb(args);
   auto threads = args.GetSizeOr("--threads", 0);
   auto port = args.GetSizeOr("--port", 4410);
   auto max_inflight = args.GetSizeOr("--max-inflight", 64);
@@ -922,15 +935,17 @@ int CmdServe(const Args& args) {
 // ------------------------------------------------- per-shape commands
 
 /// Hands the catalog to a QueryEngine, runs `spec`, prints EXPLAIN
-/// (including the ExecStats line) and the result. `cache_mb` sizes the
+/// (including the ExecStats line) and the result. --cache-mb sizes the
 /// engine's cross-query neighborhood cache (0 = off; one ad-hoc query
-/// still benefits when its evaluator probes repeated points).
-int PlanAndRun(Catalog catalog, const QuerySpec& spec, bool naive,
-               std::size_t cache_mb) {
+/// still benefits when its evaluator probes repeated points) and
+/// --naive forces the conceptually correct plan.
+int PlanAndRun(const Args& args, Catalog catalog, const QuerySpec& spec) {
+  auto cache_mb = GetCacheMb(args);
+  if (!cache_mb.ok()) return Fail(cache_mb.status());
   EngineOptions options;
   options.num_threads = 1;  // One ad-hoc query; no fan-out needed.
-  options.cache_mb = cache_mb;
-  options.planner.force_naive = naive;
+  options.cache_mb = *cache_mb;
+  options.planner.force_naive = args.Has("--naive");
   const QueryEngine engine(std::move(catalog), options);
 
   const EngineResult run = engine.Run(spec);
@@ -965,13 +980,10 @@ int CmdTwoSelects(const Args& args) {
     if (!s.ok() && s.code() != StatusCode::kOk) return Fail(s);
   }
   if (!f1.ok() || !f2.ok() || !k1.ok() || !k2.ok()) return 1;
-  auto cache_mb = args.GetSizeOr("--cache-mb", 0);
-  if (!cache_mb.ok()) return Fail(cache_mb.status());
-  return PlanAndRun(std::move(catalog),
+  return PlanAndRun(args, std::move(catalog),
                     TwoSelectsSpec{.relation = "E",
                                    .s1 = {.focal = *f1, .k = *k1},
-                                   .s2 = {.focal = *f2, .k = *k2}},
-                    args.Has("--naive"), *cache_mb);
+                                   .s2 = {.focal = *f2, .k = *k2}});
 }
 
 int CmdSelectInnerJoin(const Args& args) {
@@ -990,15 +1002,12 @@ int CmdSelectInnerJoin(const Args& args) {
   if (!join_k.ok()) return Fail(join_k.status());
   if (!focal.ok()) return Fail(focal.status());
   if (!select_k.ok()) return Fail(select_k.status());
-  auto cache_mb = args.GetSizeOr("--cache-mb", 0);
-  if (!cache_mb.ok()) return Fail(cache_mb.status());
   return PlanAndRun(
-      std::move(catalog),
+      args, std::move(catalog),
       SelectInnerJoinSpec{.outer = "E1",
                           .inner = "E2",
                           .join_k = *join_k,
-                          .select = {.focal = *focal, .k = *select_k}},
-      args.Has("--naive"), *cache_mb);
+                          .select = {.focal = *focal, .k = *select_k}});
 }
 
 int CmdRangeInnerJoin(const Args& args) {
@@ -1015,14 +1024,11 @@ int CmdRangeInnerJoin(const Args& args) {
   auto range = args.GetBox("--range");
   if (!join_k.ok()) return Fail(join_k.status());
   if (!range.ok()) return Fail(range.status());
-  auto cache_mb = args.GetSizeOr("--cache-mb", 0);
-  if (!cache_mb.ok()) return Fail(cache_mb.status());
-  return PlanAndRun(std::move(catalog),
+  return PlanAndRun(args, std::move(catalog),
                     RangeInnerJoinSpec{.outer = "E1",
                                        .inner = "E2",
                                        .join_k = *join_k,
-                                       .range = *range},
-                    args.Has("--naive"), *cache_mb);
+                                       .range = *range});
 }
 
 int CmdThreeRelations(const Args& args, bool chained) {
@@ -1036,28 +1042,24 @@ int CmdThreeRelations(const Args& args, bool chained) {
   }
   auto k1 = args.GetSize("--k-ab");
   if (!k1.ok()) return Fail(k1.status());
-  auto cache_mb = args.GetSizeOr("--cache-mb", 0);
-  if (!cache_mb.ok()) return Fail(cache_mb.status());
   if (chained) {
     auto k2 = args.GetSize("--k-bc");
     if (!k2.ok()) return Fail(k2.status());
-    return PlanAndRun(std::move(catalog),
+    return PlanAndRun(args, std::move(catalog),
                       ChainedJoinsSpec{.a = "A",
                                        .b = "B",
                                        .c = "C",
                                        .k_ab = *k1,
-                                       .k_bc = *k2},
-                      args.Has("--naive"), *cache_mb);
+                                       .k_bc = *k2});
   }
   auto k2 = args.GetSize("--k-cb");
   if (!k2.ok()) return Fail(k2.status());
-  return PlanAndRun(std::move(catalog),
+  return PlanAndRun(args, std::move(catalog),
                     UnchainedJoinsSpec{.a = "A",
                                        .b = "B",
                                        .c = "C",
                                        .k_ab = *k1,
-                                       .k_cb = *k2},
-                    args.Has("--naive"), *cache_mb);
+                                       .k_cb = *k2});
 }
 
 void PrintUsage() {
