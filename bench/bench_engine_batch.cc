@@ -392,7 +392,8 @@ void RunChurnBenchmark(benchmark::State& state, const std::string& name,
           live.push_back(next_id++);
         }
       }
-      const EngineResult applied = engine.Mutate("clustered", ops);
+      const EngineResult applied =
+          engine.ExecuteDml(DmlRequest::MutateOps("clustered", ops));
       KNNQ_CHECK_MSG(applied.ok(), applied.status.ToString().c_str());
       updates += ops.size();
     }

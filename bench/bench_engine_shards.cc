@@ -136,7 +136,7 @@ const std::vector<QuerySpec>& Specs() {
 std::unique_ptr<QueryEngine> MakeEngine(std::size_t shards) {
   EngineOptions options;
   options.num_threads = kReaders;
-  options.shards = shards;
+  options.index_options.shards = shards;
   return std::make_unique<QueryEngine>(MakeCatalog(), options);
 }
 

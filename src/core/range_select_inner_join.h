@@ -1,7 +1,7 @@
 // Footnote 1 of Section 3: "the same challenge exists if the selection
-// is a spatial range (e.g., rectangle)". This module carries the
-// paper's Counting and Block-Marking ideas over to a rectangular range
-// selection on the INNER relation of a kNN-join:
+// is a spatial range (e.g., rectangle)". The paper's Counting and
+// Block-Marking carry over to a rectangular range selection on the
+// INNER relation of a kNN-join:
 //
 //     (E1 JOIN_kNN E2) INTERSECT (E1 x Range_rect(E2))
 // i.e. pairs (e1, e2) with e2 among the join_k nearest E2-points of e1
@@ -9,15 +9,18 @@
 //
 // Pushing the range below the join's inner side is invalid for the
 // same reason as the kNN-select: the join would see only in-rectangle
-// points. The pruning thresholds adapt naturally:
-//   * Counting: a focal neighbor at distance >= MINDIST(e1, rect)
-//     replaces the "nearest focal neighbor" - more than join_k points
-//     strictly closer prove no rectangle point joins e1.
+// points. The evaluators are the kNN-select's own
+// (src/core/select_inner_join.cc, one template per algorithm), run
+// with a range filter whose thresholds adapt naturally:
+//   * Counting: MINDIST(e1, rect) replaces the distance to the nearest
+//     focal neighbor - more than join_k points strictly closer prove
+//     no rectangle point joins e1.
 //   * Block-Marking: a block is Non-Contributing when
 //     r + 2y < MINDIST(center, rect), with r the center's join_k
 //     neighborhood radius and y the center-to-corner distance; the
 //     f_farthest term of the kNN-select disappears because the
-//     rectangle is its own "neighborhood".
+//     rectangle is its own "neighborhood". The contour scan starts
+//     from the rectangle's center.
 
 #ifndef KNNQ_SRC_CORE_RANGE_SELECT_INNER_JOIN_H_
 #define KNNQ_SRC_CORE_RANGE_SELECT_INNER_JOIN_H_

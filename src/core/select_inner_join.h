@@ -19,6 +19,9 @@
 //               marking whole blocks Non-Contributing via the
 //               (r + d + f_farthest) < f_center test on block centers;
 //               only points in Contributing blocks join.
+//
+// The range selection of footnote 1 (range_select_inner_join.h) runs
+// the same three evaluators with a different filter on E2.
 
 #ifndef KNNQ_SRC_CORE_SELECT_INNER_JOIN_H_
 #define KNNQ_SRC_CORE_SELECT_INNER_JOIN_H_

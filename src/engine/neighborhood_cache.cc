@@ -279,6 +279,7 @@ void NeighborhoodCache::Insert(const SpatialIndex* relation,
   const std::uint64_t hash = Hash(key);
   Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
+  if (relation->retired()) return;  // See RetireRelation.
   if (Entry* existing = shard.Find(key, hash)) {
     // A concurrent miss raced us here; the values are identical
     // (GetKnn is deterministic), so just refresh recency.
@@ -313,12 +314,13 @@ void NeighborhoodCache::InvalidateRelation(const SpatialIndex* relation) {
   DropEntries(relation->instance_id());
 }
 
-void NeighborhoodCache::RetireRelation(std::uint64_t relation_id) {
+void NeighborhoodCache::RetireRelation(const SpatialIndex* relation) {
+  relation->MarkRetired();
   {
     std::lock_guard<std::mutex> lock(relation_generations_mu_);
-    relation_generations_.erase(relation_id);
+    relation_generations_.erase(relation->instance_id());
   }
-  DropEntries(relation_id);
+  DropEntries(relation->instance_id());
 }
 
 void NeighborhoodCache::DropEntries(std::uint64_t relation_id) {

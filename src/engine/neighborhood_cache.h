@@ -97,7 +97,8 @@ class NeighborhoodCache {
   /// shard's budget are dropped before anything is allocated;
   /// otherwise the shard evicts LRU-first until the new entry fits.
   /// Inserting a key that is already present (a concurrent miss on
-  /// both threads) only refreshes its position.
+  /// both threads) only refreshes its position. A retired `relation`
+  /// (see RetireRelation) is refused.
   void Insert(const SpatialIndex* relation, const Point& query,
               std::size_t k, const Neighborhood& neighborhood);
 
@@ -109,18 +110,21 @@ class NeighborhoodCache {
   /// per relation instead of nuking the cache on any catalog change.
   void InvalidateRelation(const SpatialIndex* relation);
 
-  /// Drops the entries cached under index instance `relation_id` and
-  /// forgets its generation record. For copy-on-write replacement,
-  /// where the retired index object may already be destroyed: its
-  /// entries are unreachable (the replacement has a fresh instance id)
-  /// but would otherwise hold cache bytes until LRU pressure drains
-  /// them.
-  void RetireRelation(std::uint64_t relation_id);
+  /// For an index object a copy-on-write publish replaced: marks it
+  /// retired (SpatialIndex::MarkRetired), then drops its entries and
+  /// forgets its generation record. Its entries are unreachable (the
+  /// replacement has a fresh instance id), yet readers still pinned on
+  /// it keep searching it. Insert checks the mark under the shard
+  /// mutex, and the drop walks every shard under that mutex after
+  /// setting it, so an insert either sees the mark or lands before the
+  /// walk and is dropped by it: no entry of a retired object outlives
+  /// this call.
+  void RetireRelation(const SpatialIndex* relation);
 
   /// Per-relation generation hook: when `generation` differs from the
   /// last value observed for `relation`, that relation's entries (and
-  /// only those) are dropped. QueryEngine::Mutate calls this with the
-  /// mutated relation's new Catalog generation.
+  /// only those) are dropped. QueryEngine::ExecuteDml calls this with
+  /// the mutated relation's new Catalog generation.
   void InvalidateIfGenerationChanged(const SpatialIndex* relation,
                                      std::uint64_t generation);
 

@@ -30,16 +30,6 @@ std::size_t ResolveThreads(std::size_t requested) {
   return hw > 0 ? hw : 1;
 }
 
-/// Folds the deprecated knob home into the canonical EngineOptions
-/// field, so the rest of the engine reads exactly one place: shards is
-/// reconciled with IndexOptions::shards (both written back, max wins).
-EngineOptions NormalizeOptions(EngineOptions options) {
-  options.shards = std::max(
-      {options.shards, options.index_options.shards, std::size_t{1}});
-  options.index_options.shards = options.shards;
-  return options;
-}
-
 std::unique_ptr<NeighborhoodCache> MakeCache(const EngineOptions& options) {
   if (options.cache_mb == 0) return nullptr;
   NeighborhoodCacheOptions cache_options;
@@ -68,8 +58,8 @@ PointId NextIdAfter(const PointSet& points) {
 
 QueryEngine::QueryEngine(Catalog catalog, EngineOptions options)
     : catalog_(std::move(catalog)),
-      options_(NormalizeOptions(options)),
-      cow_(options_.shards > 1),
+      options_(std::move(options)),
+      cow_(options_.index_options.shards > 1),
       cache_(MakeCache(options_)),
       pool_(std::make_unique<ThreadPool>(ThreadPoolOptions{
           .num_threads = ResolveThreads(options_.num_threads),
@@ -364,16 +354,6 @@ EngineResult QueryEngine::ExecuteDml(const knnql::DmlSpec& dml) {
   return result;
 }
 
-EngineResult QueryEngine::Mutate(const std::string& relation,
-                                 const std::vector<MutationOp>& ops) {
-  return ExecuteDml(DmlRequest::MutateOps(relation, ops));
-}
-
-EngineResult QueryEngine::LoadRelation(const std::string& relation,
-                                       PointSet points) {
-  return ExecuteDml(DmlRequest::Load(relation, std::move(points)));
-}
-
 EngineResult QueryEngine::ExecuteDmlLegacy(DmlRequest& request) {
   EngineResult result;
   result.is_mutation = true;
@@ -521,10 +501,11 @@ EngineResult QueryEngine::MutateCow(DmlRequest& request) {
     children.push_back(sharded->shard_ptr(s));
   }
   std::vector<bool> cloned(num_shards, false);
-  std::vector<std::uint64_t> retired;
+  // The originals of the cloned shards. `base` keeps them alive.
+  std::vector<const SpatialIndex*> retired;
   const auto writable = [&](std::size_t s) -> SpatialIndex* {
     if (!cloned[s]) {
-      retired.push_back(children[s]->instance_id());
+      retired.push_back(children[s].get());
       children[s] = std::shared_ptr<SpatialIndex>(children[s]->Clone());
       cloned[s] = true;
     }
@@ -595,11 +576,12 @@ EngineResult QueryEngine::MutateCow(DmlRequest& request) {
         outcome.generation = (*rel)->generation;
       }
     }
-    // Replaced child objects can no longer serve anyone; drop their
-    // cache entries (every other shard's stay hot). Only after a
-    // publish: an unpublished clone leaves the originals live.
+    // Replaced child objects can no longer serve new readers; retire
+    // them, so readers still pinned on them stop caching under their
+    // ids, and drop their entries (every other shard's stay hot). Only
+    // after a publish: an unpublished clone leaves the originals live.
     if (rows > 0 && cache_ != nullptr) {
-      for (const std::uint64_t id : retired) cache_->RetireRelation(id);
+      for (const SpatialIndex* old : retired) cache_->RetireRelation(old);
       publish_span.Count("cache_retired", retired.size());
     }
   }
@@ -716,10 +698,10 @@ EngineResult QueryEngine::LoadCow(DmlRequest& request) {
     if (const auto* old_sharded =
             dynamic_cast<const ShardedIndex*>(old_index.get())) {
       for (std::size_t s = 0; s < old_sharded->num_shards(); ++s) {
-        cache_->RetireRelation(old_sharded->shard(s).instance_id());
+        cache_->RetireRelation(&old_sharded->shard(s));
       }
     }
-    cache_->RetireRelation(old_index->instance_id());
+    cache_->RetireRelation(old_index.get());
   }
 
   result.rows_affected = outcome.rows_affected;

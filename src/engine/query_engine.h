@@ -8,7 +8,8 @@
 // RunScript() executes a KNNQL script that may interleave DML with
 // queries.
 //
-// Concurrency model — two modes, selected by EngineOptions::shards:
+// Concurrency model — two modes, selected by the shard count
+// (EngineOptions::index_options.shards):
 //
 //   shards == 1 (default, the historical engine): SpatialIndex
 //   instances are read-thread-safe with no synchronization as long as
@@ -92,7 +93,8 @@ class WalSink {
 /// Engine construction knobs — the one place engine-level tuning
 /// lives. Defaults are the zero-configuration single-process engine:
 /// hardware threads, no cache, unbounded pool queue, one shard per
-/// relation (in-place DML under the reader/writer lock).
+/// relation (index_options.shards = 1: in-place DML under the
+/// reader/writer lock).
 struct EngineOptions {
   /// Worker threads for RunBatch. 0 means hardware concurrency.
   std::size_t num_threads = 0;
@@ -105,14 +107,6 @@ struct EngineOptions {
   /// neighborhood cache" for sizing guidance.
   std::size_t cache_mb = 0;
 
-  /// Spatial shards per relation. 1 (default) keeps the historical
-  /// single-index engine; > 1 builds every relation as a ShardedIndex
-  /// and switches the engine to pinned-snapshot reads and
-  /// copy-on-write DML (see the header comment). Normalized with
-  /// index_options.shards: the effective count is the max of the two,
-  /// written back to both.
-  std::size_t shards = 1;
-
   /// Bound on the worker pool's queue of not-yet-running tasks; 0
   /// means unbounded (the RunBatch default). Servers set it so
   /// TrySubmitQuery refuses work under overload instead of queueing
@@ -124,7 +118,11 @@ struct EngineOptions {
 
   /// Index construction parameters for relations the engine creates
   /// itself (DML LOAD on an unknown name) and for resharding the
-  /// adopted catalog's relations when shards > 1.
+  /// adopted catalog's relations. Its `shards` is the engine's shard
+  /// count: 1 (default) keeps the historical single-index engine; > 1
+  /// builds every relation as a ShardedIndex and switches the engine
+  /// to pinned-snapshot reads and copy-on-write DML (see the header
+  /// comment).
   IndexOptions index_options;
 
   /// Executor registry to dispatch through; null means
@@ -149,9 +147,8 @@ struct EngineOptions {
   WalSink* wal = nullptr;
 };
 
-/// One engine-level DML request — the single write path every public
-/// mutation entry point (Mutate, LoadRelation, KNNQL INSERT / DELETE /
-/// LOAD) lowers into.
+/// One engine-level DML request — the single write path KNNQL INSERT /
+/// DELETE / LOAD lowers into.
 struct DmlRequest {
   enum class Kind {
     /// Apply `ops` in order to relation `relation`.
@@ -221,11 +218,10 @@ struct EngineStatsSnapshot {
 /// catalog, under the concurrency protocol described above.
 class QueryEngine {
  public:
-  /// Takes ownership of `catalog`. With effective shards > 1, every
-  /// adopted relation is rebuilt as a ShardedIndex (preserving its
-  /// structure type) before serving starts. Relations stay mutable
-  /// through ExecuteDml (and its forwarders) only; all other entry
-  /// points are reads.
+  /// Takes ownership of `catalog`. With shards > 1, every adopted
+  /// relation is rebuilt as a ShardedIndex (preserving its structure
+  /// type) before serving starts. Relations stay mutable through
+  /// ExecuteDml only; all other entry points are reads.
   explicit QueryEngine(Catalog catalog, EngineOptions options = {});
   ~QueryEngine();
 
@@ -242,8 +238,10 @@ class QueryEngine {
   /// saturation gauge behind knnq_engine_pool_queue_depth.
   std::size_t pool_queue_depth() const;
 
-  /// The effective shards-per-relation count (1 = unsharded engine).
-  std::size_t shards() const { return options_.shards; }
+  /// The shards-per-relation count (1 = unsharded engine).
+  std::size_t shards() const {
+    return cow_ ? options_.index_options.shards : 1;
+  }
 
   /// The engine's cross-query neighborhood cache; null when cache_mb
   /// is 0. Exposed for stats inspection (hit rate, footprint) and
@@ -310,13 +308,6 @@ class QueryEngine {
   /// kLoad). The shared execution path of the CLI and the network
   /// server.
   EngineResult ExecuteDml(const knnql::DmlSpec& dml);
-
-  /// DEPRECATED forwarder: ExecuteDml(DmlRequest::MutateOps(...)).
-  EngineResult Mutate(const std::string& relation,
-                      const std::vector<MutationOp>& ops);
-
-  /// DEPRECATED forwarder: ExecuteDml(DmlRequest::Load(...)).
-  EngineResult LoadRelation(const std::string& relation, PointSet points);
 
   /// Cumulative counters over every statement this engine executed.
   EngineStatsSnapshot StatsSnapshot() const;
@@ -392,7 +383,7 @@ class QueryEngine {
   Catalog catalog_;
   EngineOptions options_;
   /// True when the engine runs the sharded copy-on-write protocol
-  /// (effective shards > 1).
+  /// (shards > 1).
   bool cow_ = false;
   /// Shared across all workers; internally synchronized.
   std::unique_ptr<NeighborhoodCache> cache_;

@@ -19,6 +19,7 @@
 #ifndef KNNQ_SRC_INDEX_SPATIAL_INDEX_H_
 #define KNNQ_SRC_INDEX_SPATIAL_INDEX_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -114,7 +115,7 @@ struct BlockColumns {
 /// Concurrency: reads are safe from any number of threads with zero
 /// synchronization as long as no mutation is in flight. Insert / Erase /
 /// BulkLoad are NOT thread-safe and must be serialized against all
-/// readers by the caller — QueryEngine::Mutate does exactly that with a
+/// readers by the caller — QueryEngine::ExecuteDml does exactly that with a
 /// writer lock. BlockScan objects are single-threaded.
 class SpatialIndex {
  public:
@@ -129,6 +130,15 @@ class SpatialIndex {
   /// recycle (a freed index's address can be handed to a new index,
   /// silently resurrecting its stale cache entries).
   std::uint64_t instance_id() const { return instance_id_; }
+
+  /// True once a copy-on-write publish has replaced this object.
+  /// Readers pinned on it may still run, but nothing new can reach it,
+  /// so caches refuse entries keyed by it. Set once, never cleared;
+  /// a Clone starts unretired.
+  bool retired() const { return retired_.load(std::memory_order_relaxed); }
+  void MarkRetired() const {
+    retired_.store(true, std::memory_order_relaxed);
+  }
 
   /// Number of (non-empty) blocks.
   std::size_t num_blocks() const { return blocks_.size(); }
@@ -297,6 +307,7 @@ class SpatialIndex {
   static std::uint64_t NextInstanceId();
 
   const std::uint64_t instance_id_ = NextInstanceId();
+  mutable std::atomic<bool> retired_{false};
 };
 
 /// Shared argument validation for Insert implementations: rejects NaN

@@ -33,7 +33,7 @@
 namespace knnq::knnql {
 
 /// The bound form of a DML statement: relation checked, values
-/// collected, ready for QueryEngine::Mutate / LoadRelation.
+/// collected, ready for QueryEngine::ExecuteDml.
 struct DmlSpec {
   enum class Kind { kInsert, kDelete, kLoad };
   Kind kind = Kind::kInsert;

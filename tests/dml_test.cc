@@ -179,7 +179,8 @@ TEST_P(DifferentialMutationTest, IncrementalEqualsRebuiltEqualsNaive) {
       }
     }
     mutations += ops.size();
-    const EngineResult applied = engine.Mutate(shadow.name, ops);
+    const EngineResult applied =
+        engine.ExecuteDml(DmlRequest::MutateOps(shadow.name, ops));
     ASSERT_TRUE(applied.ok()) << applied.status.ToString();
     ASSERT_EQ(applied.rows_affected, ops.size());
 
@@ -409,8 +410,8 @@ TEST(PerRelationInvalidationTest, MutatingOneRelationKeepsOthersHot) {
   EXPECT_EQ(warm_b.stats.cache_misses, 0u);
 
   // Mutate a: only a's entries may be dropped.
-  const EngineResult mutated =
-      engine.Mutate("a", {MutationOp::Insert(301, 201)});
+  const EngineResult mutated = engine.ExecuteDml(
+      DmlRequest::MutateOps("a", {MutationOp::Insert(301, 201)}));
   ASSERT_TRUE(mutated.ok());
 
   EngineResult after_b = engine.Run(on_b);
@@ -488,7 +489,8 @@ TEST(ConcurrentMutationTest, ReadersRaceOneWriterSafely) {
                            static_cast<std::ptrdiff_t>(victim));
       }
     }
-    const EngineResult applied = engine.Mutate(shadow.name, ops);
+    const EngineResult applied =
+        engine.ExecuteDml(DmlRequest::MutateOps(shadow.name, ops));
     ASSERT_TRUE(applied.ok()) << applied.status.ToString();
   }
   for (std::thread& reader : readers) reader.join();

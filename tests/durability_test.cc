@@ -167,7 +167,7 @@ Catalog SeedRelations() {
 EngineOptions DurableEngineOptions(std::size_t shards, WalSink* wal) {
   EngineOptions options;
   options.num_threads = 1;
-  options.shards = shards;
+  options.index_options.shards = shards;
   options.wal = wal;
   return options;
 }

@@ -37,13 +37,15 @@ struct RangeCase {
   IndexType type;
   std::size_t join_k;
   BoundingBox range;
+  /// Outer and inner are the same index.
+  bool self_join = false;
 };
 
 std::string RangeCaseName(const ::testing::TestParamInfo<RangeCase>& info) {
   return std::string(ToString(info.param.type)) + "_k" +
          std::to_string(info.param.join_k) + "_case" +
          std::to_string(info.param.range.Area() > 100000 ? 1 : 0) +
-         std::to_string(info.index);
+         std::to_string(info.index) + (info.param.self_join ? "_self" : "");
 }
 
 class RangeSelectInnerJoinPropertyTest
@@ -51,12 +53,13 @@ class RangeSelectInnerJoinPropertyTest
 
 TEST_P(RangeSelectInnerJoinPropertyTest, AllEvaluatorsMatchBruteForce) {
   const RangeCase& c = GetParam();
-  const PointSet outer = MakeUniform(300, /*seed=*/161, /*first_id=*/0);
   const PointSet inner = MakeCity(1200, /*seed=*/162, /*first_id=*/100000);
-  const auto outer_index = MakeIndex(outer, c.type);
+  const PointSet outer =
+      c.self_join ? inner : MakeUniform(300, /*seed=*/161, /*first_id=*/0);
   const auto inner_index = MakeIndex(inner, c.type);
+  const auto outer_index = c.self_join ? nullptr : MakeIndex(outer, c.type);
   const RangeSelectInnerJoinQuery query{
-      .outer = outer_index.get(),
+      .outer = c.self_join ? inner_index.get() : outer_index.get(),
       .inner = inner_index.get(),
       .join_k = c.join_k,
       .range = c.range,
@@ -82,7 +85,13 @@ INSTANTIATE_TEST_SUITE_P(
         RangeCase{IndexType::kGrid, 3, BoundingBox(450, 350, 452, 352)},
         RangeCase{IndexType::kQuadtree, 4,
                   BoundingBox(600, 200, 900, 500)},
-        RangeCase{IndexType::kRTree, 4, BoundingBox(600, 200, 900, 500)}),
+        RangeCase{IndexType::kRTree, 4, BoundingBox(600, 200, 900, 500)},
+        RangeCase{IndexType::kGrid, 3, BoundingBox(600, 200, 900, 500),
+                  /*self_join=*/true},
+        RangeCase{IndexType::kQuadtree, 3, BoundingBox(600, 200, 900, 500),
+                  /*self_join=*/true},
+        RangeCase{IndexType::kRTree, 3, BoundingBox(600, 200, 900, 500),
+                  /*self_join=*/true}),
     RangeCaseName);
 
 TEST(RangeSelectInnerJoinTest, CountingPrunesOutsideTheRectangle) {

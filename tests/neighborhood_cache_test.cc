@@ -14,6 +14,7 @@
 #include <limits>
 #include <list>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -233,6 +234,34 @@ TEST(NeighborhoodCacheTest, PerRelationInvalidationDropsOnlyThatRelation) {
   EXPECT_EQ(cache.GetStats().entries, 1u);
 }
 
+TEST(NeighborhoodCacheTest, RetiredRelationRefusesInserts) {
+  const auto index = MakeIndex(MakeUniform(200, 44));
+  NeighborhoodCache cache;
+  CachingKnnSearcher searcher(*index, &cache);
+  const Point q{.id = -1, .x = 500, .y = 400};
+  const Neighborhood nbr = searcher.GetKnn(q, 3);
+  ASSERT_EQ(cache.GetStats().entries, 1u);
+
+  // Retiring drops the entries; a reader still pinned on the retired
+  // object keeps searching it, but nothing it computes is cached.
+  cache.RetireRelation(index.get());
+  EXPECT_TRUE(index->retired());
+  EXPECT_EQ(cache.size_bytes(), 0u);
+  EXPECT_EQ(searcher.GetKnn(q, 3), nbr);
+  cache.Insert(index.get(), q, 3, nbr);
+  EXPECT_EQ(cache.size_bytes(), 0u);
+  EXPECT_EQ(cache.GetStats().entries, 0u);
+  Neighborhood out;
+  EXPECT_FALSE(cache.Lookup(index.get(), q, 3, &out));
+
+  // The replacement, a clone, starts unretired and caches normally.
+  const auto clone = index->Clone();
+  EXPECT_FALSE(clone->retired());
+  cache.Insert(clone.get(), q, 3, nbr);
+  ASSERT_TRUE(cache.Lookup(clone.get(), q, 3, &out));
+  EXPECT_EQ(out, nbr);
+}
+
 // --- Reference model: the same semantics kept the obvious way ---
 
 /// (relation instance id, x bits, y bits, k): the cache keys
@@ -249,8 +278,9 @@ ModelKey KeyOf(const SpatialIndex& relation, const Point& query,
 /// The documented NeighborhoodCache semantics as a list + map LRU per
 /// shard: refresh on a hit and on a duplicate insert, oversize drop,
 /// LRU-first eviction under capacity / shards, per-relation and
-/// generation invalidation. Shard assignment and entry charges are
-/// supplied by the caller, measured on the real cache.
+/// generation invalidation, and retirement (drop, then refuse every
+/// later insert). Shard assignment and entry charges are supplied by
+/// the caller, measured on the real cache.
 class ReferenceCache {
  public:
   ReferenceCache(std::size_t shards, std::size_t shard_capacity)
@@ -272,6 +302,7 @@ class ReferenceCache {
   void Insert(std::size_t shard, const ModelKey& key,
               const Neighborhood& value, std::size_t cost) {
     if (cost > shard_capacity_) return;
+    if (retired_.count(std::get<0>(key)) != 0) return;
     Shard& s = shards_[shard];
     if (const auto it = s.map.find(key); it != s.map.end()) {
       s.lru.splice(s.lru.begin(), s.lru, it->second);
@@ -305,6 +336,7 @@ class ReferenceCache {
   }
 
   void Retire(std::uint64_t relation_id) {
+    retired_.insert(relation_id);
     generations_.erase(relation_id);
     DropRelation(relation_id);
   }
@@ -359,6 +391,7 @@ class ReferenceCache {
   const std::size_t shard_capacity_;
   NeighborhoodCacheStats stats_;
   std::map<std::uint64_t, std::uint64_t> generations_;
+  std::set<std::uint64_t> retired_;
   std::uint64_t catalog_generation_ = 0;
 };
 
@@ -436,8 +469,11 @@ class CacheModelTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CacheModelTest, MatchesReferenceLruOverSeededOperations) {
   const std::size_t num_shards = GetParam();
+  // Only the last three are ever retired, as copy-on-write retires
+  // only the objects a publish replaced; the first three keep the
+  // budget filling for the whole sequence.
   std::vector<std::unique_ptr<SpatialIndex>> relations;
-  for (std::uint64_t seed = 51; seed < 54; ++seed) {
+  for (std::uint64_t seed = 51; seed < 57; ++seed) {
     relations.push_back(MakeIndex(MakeUniform(30, seed)));
   }
   // Signed zeros and a NaN are distinct, findable keys (bit patterns).
@@ -474,7 +510,7 @@ TEST_P(CacheModelTest, MatchesReferenceLruOverSeededOperations) {
   // generation hooks, Clear: rare drops, so the budget fills between
   // them and evicts.
   const std::vector<double> weights = {50, 45, 0.4, 0.3, 0.5, 0.2, 0.1};
-  constexpr std::size_t kOps = 20000;
+  constexpr std::size_t kOps = 40000;
   std::uint64_t version = 0;
   for (std::size_t op = 0; op < kOps; ++op) {
     const std::size_t key_index = rng.NextIndex(keys.size());
@@ -505,10 +541,12 @@ TEST_P(CacheModelTest, MatchesReferenceLruOverSeededOperations) {
         cache.InvalidateRelation(some_relation);
         model.DropRelation(some_relation->instance_id());
         break;
-      case 3:
-        cache.RetireRelation(some_relation->instance_id());
-        model.Retire(some_relation->instance_id());
+      case 3: {
+        const SpatialIndex* replaced = relations[3 + rng.NextIndex(3)].get();
+        cache.RetireRelation(replaced);
+        model.Retire(replaced->instance_id());
         break;
+      }
       case 4: {
         const std::uint64_t generation = rng.NextIndex(3);
         cache.InvalidateIfGenerationChanged(some_relation, generation);
@@ -545,10 +583,14 @@ INSTANTIATE_TEST_SUITE_P(Shards, CacheModelTest, ::testing::Values(1, 4),
 // --- Concurrency: the TSan job's stress target ---
 
 TEST(NeighborhoodCacheTest, ConcurrentStressKeepsValuesAndAccounting) {
+  // Worker 0 retires the last relation halfway through while the
+  // others still insert under it, as readers pinned on a replaced
+  // shard do.
   std::vector<std::unique_ptr<SpatialIndex>> relations;
-  for (std::uint64_t seed = 61; seed < 64; ++seed) {
+  for (std::uint64_t seed = 61; seed < 65; ++seed) {
     relations.push_back(MakeIndex(MakeUniform(30, seed)));
   }
+  const SpatialIndex* retiring = relations.back().get();
   // Overlapping keys whose value is a pure function of the key, so
   // every hit on every thread can be checked.
   struct StressKey {
@@ -584,6 +626,7 @@ TEST(NeighborhoodCacheTest, ConcurrentStressKeepsValuesAndAccounting) {
       Rng rng(900 + w);
       Neighborhood out;
       for (int op = 0; op < kOpsPerWorker; ++op) {
+        if (w == 0 && op == kOpsPerWorker / 2) cache.RetireRelation(retiring);
         const StressKey& key = keys[rng.NextIndex(keys.size())];
         if (rng.Bernoulli(0.6)) {
           if (cache.Lookup(key.relation, key.query, key.k, &out)) {
@@ -600,9 +643,7 @@ TEST(NeighborhoodCacheTest, ConcurrentStressKeepsValuesAndAccounting) {
   }
   std::thread invalidator([&] {
     for (std::size_t i = 0; !stop.load(); ++i) {
-      cache.InvalidateRelation(relations[i % relations.size()].get());
-      cache.RetireRelation(
-          relations[(i + 1) % relations.size()]->instance_id());
+      cache.InvalidateRelation(relations[i % (relations.size() - 1)].get());
       (void)cache.GetStats();
       std::this_thread::yield();
     }
@@ -626,6 +667,11 @@ TEST(NeighborhoodCacheTest, ConcurrentStressKeepsValuesAndAccounting) {
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_GT(stats.invalidated, 0u);
+
+  // No insert racing the retirement left an entry behind.
+  ASSERT_TRUE(retiring->retired());
+  cache.InvalidateRelation(retiring);
+  EXPECT_EQ(cache.GetStats().invalidated, stats.invalidated);
 }
 
 // --- Engine-level equivalence: the acceptance bar of this subsystem ---

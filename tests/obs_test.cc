@@ -403,7 +403,7 @@ TEST(ExplainAnalyzeTest, SpanSumsMatchExecStatsCached) {
 TEST(ExplainAnalyzeTest, SpanSumsMatchExecStatsSharded) {
   EngineOptions options;
   options.num_threads = 2;
-  options.shards = 3;
+  options.index_options.shards = 3;
   const QueryEngine engine(MakeCatalog(), options);
   ExpectTreeSumsMatchStats(engine, "sharded/uncached");
 }
@@ -411,7 +411,7 @@ TEST(ExplainAnalyzeTest, SpanSumsMatchExecStatsSharded) {
 TEST(ExplainAnalyzeTest, SpanSumsMatchExecStatsShardedCached) {
   EngineOptions options;
   options.num_threads = 2;
-  options.shards = 3;
+  options.index_options.shards = 3;
   options.cache_mb = 8;
   const QueryEngine engine(MakeCatalog(), options);
   ExpectTreeSumsMatchStats(engine, "sharded/cached");

@@ -23,6 +23,9 @@ struct SijCase {
   std::size_t inner_n;
   std::size_t join_k;
   std::size_t select_k;
+  /// Outer and inner are the same index, so outer points coincide with
+  /// focal neighbors (distance 0 to the nearest one).
+  bool self_join = false;
 };
 
 std::string CaseName(const ::testing::TestParamInfo<SijCase>& info) {
@@ -30,7 +33,8 @@ std::string CaseName(const ::testing::TestParamInfo<SijCase>& info) {
          std::to_string(info.param.outer_n) + "_i" +
          std::to_string(info.param.inner_n) + "_kj" +
          std::to_string(info.param.join_k) + "_ks" +
-         std::to_string(info.param.select_k);
+         std::to_string(info.param.select_k) +
+         (info.param.self_join ? "_self" : "");
 }
 
 class SelectInnerJoinPropertyTest
@@ -38,15 +42,17 @@ class SelectInnerJoinPropertyTest
 
 TEST_P(SelectInnerJoinPropertyTest, AllEvaluatorsAgreeWithBruteForce) {
   const SijCase& c = GetParam();
-  const PointSet outer = MakeUniform(c.outer_n, /*seed=*/61, /*first_id=*/0);
   const PointSet inner =
       MakeCity(c.inner_n, /*seed=*/62, /*first_id=*/100000);
-  const auto outer_index = MakeIndex(outer, c.type);
+  const PointSet outer =
+      c.self_join ? inner
+                  : MakeUniform(c.outer_n, /*seed=*/61, /*first_id=*/0);
   const auto inner_index = MakeIndex(inner, c.type);
+  const auto outer_index = c.self_join ? nullptr : MakeIndex(outer, c.type);
   const Point focal{.id = -1, .x = 700, .y = 300};
 
   const SelectInnerJoinQuery query{
-      .outer = outer_index.get(),
+      .outer = c.self_join ? inner_index.get() : outer_index.get(),
       .inner = inner_index.get(),
       .join_k = c.join_k,
       .focal = focal,
@@ -85,7 +91,10 @@ INSTANTIATE_TEST_SUITE_P(
         SijCase{IndexType::kQuadtree, 150, 800, 2, 10},
         SijCase{IndexType::kQuadtree, 400, 1500, 5, 5},
         SijCase{IndexType::kRTree, 150, 800, 2, 10},
-        SijCase{IndexType::kRTree, 400, 1500, 5, 5}),
+        SijCase{IndexType::kRTree, 400, 1500, 5, 5},
+        SijCase{IndexType::kGrid, 800, 800, 3, 10, /*self_join=*/true},
+        SijCase{IndexType::kQuadtree, 800, 800, 3, 10, /*self_join=*/true},
+        SijCase{IndexType::kRTree, 800, 800, 3, 10, /*self_join=*/true}),
     CaseName);
 
 TEST(SelectInnerJoinTest, ClusteredOuterAgreesAcrossEvaluators) {

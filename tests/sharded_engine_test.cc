@@ -1,8 +1,9 @@
 // Sharded-engine tests: byte-identity of every query shape across
 // shard counts and index structures, copy-on-write DML equivalence
-// with the in-place engine, EngineOptions normalization, the
-// DmlRequest single write path, shards_pruned aggregation, and a
-// concurrent DML-vs-reads stress the TSan CI job runs.
+// with the in-place engine, the engine's cache and shard knobs,
+// shards_pruned aggregation, and a concurrent DML-vs-reads stress the
+// TSan CI job runs, which also checks that no cache entry outlives the
+// shard object it was keyed by.
 
 #include <atomic>
 #include <cstddef>
@@ -15,6 +16,7 @@
 #include "gtest/gtest.h"
 #include "src/engine/neighborhood_cache.h"
 #include "src/engine/query_engine.h"
+#include "src/index/sharded_index.h"
 #include "tests/test_util.h"
 
 namespace knnq {
@@ -43,7 +45,7 @@ Catalog MakeCatalog(IndexType type = IndexType::kGrid) {
 EngineOptions WithShards(std::size_t shards) {
   EngineOptions options;
   options.num_threads = 2;
-  options.shards = shards;
+  options.index_options.shards = shards;
   options.index_options.block_capacity = 16;
   return options;
 }
@@ -224,36 +226,7 @@ TEST(ShardedEngineTest, CowMutationFailureKeepsAppliedPrefix) {
             before + 8);
 }
 
-// --- Satellite: the single write path and its forwarders agree ---
-
-TEST(ShardedEngineTest, DeprecatedForwardersLowerToExecuteDml) {
-  for (const std::size_t shards : {1u, 4u}) {
-    QueryEngine via_request(MakeCatalog(), WithShards(shards));
-    QueryEngine via_forwarder(MakeCatalog(), WithShards(shards));
-
-    const std::vector<MutationOp> ops = {MutationOp::Insert(77, 88),
-                                         MutationOp::Erase(3)};
-    const EngineResult a =
-        via_request.ExecuteDml(DmlRequest::MutateOps("uniform", ops));
-    const EngineResult b = via_forwarder.Mutate("uniform", ops);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a.rows_affected, b.rows_affected);
-    EXPECT_EQ(a.explain, b.explain);
-
-    const PointSet points = MakeUniform(120, 91, 0);
-    const EngineResult c =
-        via_request.ExecuteDml(DmlRequest::Load("loaded", points));
-    const EngineResult d = via_forwarder.LoadRelation("loaded", points);
-    ASSERT_TRUE(c.ok());
-    ASSERT_TRUE(d.ok());
-    EXPECT_EQ(c.rows_affected, d.rows_affected);
-    ExpectSameResults(via_request, via_forwarder, MixedSpecs(1),
-                      "forwarder shards=" + std::to_string(shards));
-  }
-}
-
-// --- Satellite: EngineOptions normalization ---
+// --- Satellite: the engine knobs ---
 
 TEST(ShardedEngineTest, CacheKnobSizesTheEngineCache) {
   EngineOptions options;
@@ -293,16 +266,17 @@ TEST(ShardedEngineTest, CacheKnobSaturatesInsteadOfWrapping) {
             (SIZE_MAX >> 20) << 20);
 }
 
-TEST(ShardedEngineTest, ShardKnobReconcilesWithIndexOptions) {
+TEST(ShardedEngineTest, ShardKnobLivesInIndexOptions) {
   EngineOptions options;
-  options.index_options.shards = 6;  // Index-level knob only.
+  options.index_options.shards = 6;
   const QueryEngine engine(MakeCatalog(), options);
   EXPECT_EQ(engine.shards(), 6u);
-  EXPECT_EQ(engine.options().shards, 6u);
-  EXPECT_EQ(engine.options().index_options.shards, 6u);
-
-  const QueryEngine unsharded(MakeCatalog(), EngineOptions{});
-  EXPECT_EQ(unsharded.shards(), 1u);
+  for (const std::string& name : engine.catalog().Names()) {
+    const auto* sharded = dynamic_cast<const ShardedIndex*>(
+        (*engine.catalog().Get(name))->index.get());
+    ASSERT_NE(sharded, nullptr) << name;
+    EXPECT_EQ(sharded->num_shards(), 6u) << name;
+  }
 }
 
 // --- Satellite: shards_pruned aggregates into the engine snapshot ---
@@ -382,6 +356,24 @@ TEST(ShardedEngineTest, ConcurrentDmlAndReadsAreSafe) {
   // its initial cardinalities.
   EXPECT_EQ((*engine.catalog().Get("uniform"))->index->num_points(), 800u);
   EXPECT_EQ((*engine.catalog().Get("city"))->index->num_points(), 800u);
+
+  // Every cache entry is keyed by a live object: once the entries of
+  // every current relation and shard are dropped, nothing is left. A
+  // reader still running on a replaced shard must not leave entries
+  // nothing can reach.
+  NeighborhoodCache& cache = *engine.neighborhood_cache();
+  for (const std::string& name : engine.catalog().Names()) {
+    const SpatialIndex* index = (*engine.catalog().Get(name))->index.get();
+    const auto* sharded = dynamic_cast<const ShardedIndex*>(index);
+    ASSERT_NE(sharded, nullptr) << name;
+    for (std::size_t s = 0; s < sharded->num_shards(); ++s) {
+      cache.InvalidateRelation(&sharded->shard(s));
+    }
+    cache.InvalidateRelation(index);
+  }
+  EXPECT_EQ(cache.GetStats().entries, 0u)
+      << "entries keyed by replaced shard objects remain";
+  EXPECT_EQ(cache.size_bytes(), 0u);
 }
 
 }  // namespace

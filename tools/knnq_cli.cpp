@@ -667,9 +667,9 @@ int CmdQuery(const Args& args) {
   EngineOptions options;
   options.num_threads = 1;  // Statements run one at a time.
   options.cache_mb = *cache_mb;
-  options.shards = index_options->shards;
   options.planner.force_naive = args.Has("--naive");
-  options.index_options = *index_options;  // LOAD-created relations.
+  // Shard count, and the structure of LOAD-created relations.
+  options.index_options = *index_options;
   if (const Status s = ApplyObsFlags(args, &options); !s.ok()) {
     return Fail(s);
   }
@@ -808,7 +808,6 @@ int CmdServe(const Args& args) {
   EngineOptions options;
   options.num_threads = *threads;
   options.cache_mb = *cache_mb;
-  options.shards = index_options->shards;
   options.planner.force_naive = args.Has("--naive");
   options.index_options = *index_options;
   // Engine-side backpressure: the pool queue bounds what admission
