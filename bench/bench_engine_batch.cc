@@ -43,6 +43,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -591,13 +592,15 @@ struct TraceOverhead {
   double enabled_ratio = 0.0;
 };
 
-TraceOverhead MeasureTraceOverhead() {
-  TraceOverhead result;
+/// Empty on a filtered run that skipped the serial reference row: there
+/// is nothing to relate the cost to.
+std::optional<TraceOverhead> MeasureTraceOverhead() {
   const auto serial = Records().find("serial/uniform/uncached");
   if (serial == Records().end() || serial->second.wall_seconds <= 0.0 ||
       serial->second.queries == 0) {
-    return result;  // Filtered run: nothing to relate the cost to.
+    return std::nullopt;
   }
+  TraceOverhead result;
 
   // Disabled-span unit cost: construct/destruct with no trace
   // installed, the state every serving query runs in.
@@ -683,13 +686,27 @@ ObsPlaneOverhead MeasureObsPlaneOverhead() {
   return result;
 }
 
+/// `value` printed with `format` as a JSON number, or `null`.
+std::string JsonNumber(std::optional<double> value, const char* format) {
+  if (!value.has_value()) return "null";
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), format, *value);
+  return buf;
+}
+
 /// Writes every recorded run plus derived summary ratios. Called from
-/// main after the benchmarks finish; a partial run (filtered
-/// benchmarks) writes whatever rows exist and null summary fields.
+/// main after the benchmarks finish. A partial run (filtered
+/// benchmarks) writes whatever rows exist, and null for each summary
+/// field whose rows did not run; a run of no benchmark at all (say
+/// --benchmark_list_tests) writes no file.
 void WriteBenchJson() {
   const char* env = std::getenv("KNNQ_BENCH_JSON");
   const std::string path =
       env != nullptr ? env : "BENCH_engine_batch.json";
+  if (Records().empty()) {
+    std::printf("no benchmark ran; %s not written\n", path.c_str());
+    return;
+  }
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -718,21 +735,22 @@ void WriteBenchJson() {
   // Summary: the cached-vs-uncached ratios CI gates on. A ratio is the
   // uncached wall time over the cached wall time at equal thread count
   // (> 1 means the cache won).
-  auto ratio = [](const char* cached, const char* uncached) {
+  using Value = std::optional<double>;
+  auto ratio = [](const char* cached, const char* uncached) -> Value {
     const auto& records = Records();
     const auto c = records.find(cached);
     const auto u = records.find(uncached);
-    if (c == records.end() || u == records.end()) return 0.0;
-    if (c->second.wall_seconds <= 0.0) return 0.0;
+    if (c == records.end() || u == records.end()) return std::nullopt;
+    if (c->second.wall_seconds <= 0.0) return std::nullopt;
     return u->second.wall_seconds / c->second.wall_seconds;
   };
-  const double skewed_1 =
+  const Value skewed_1 =
       ratio("batch/skewed/cached/t1", "batch/skewed/uncached/t1");
-  const double skewed_4 =
+  const Value skewed_4 =
       ratio("batch/skewed/cached/t4", "batch/skewed/uncached/t4");
-  const double uniform_4 =
+  const Value uniform_4 =
       ratio("batch/uniform/cached/t4", "batch/uniform/uncached/t4");
-  double skewed_hit_rate = 0.0;
+  Value skewed_hit_rate;
   if (const auto it = Records().find("batch/skewed/cached/t4");
       it != Records().end()) {
     skewed_hit_rate = it->second.hit_rate();
@@ -740,47 +758,51 @@ void WriteBenchJson() {
   // Churn vs read-only throughput at the same engine config: the
   // "updates are not allowed to crater serving" ratio check_bench.py
   // gates at >= 0.5x.
-  const auto qps_ratio = [](const char* num, const char* den) {
+  const auto qps_ratio = [](const char* num, const char* den) -> Value {
     const auto& records = Records();
     const auto n = records.find(num);
     const auto d = records.find(den);
-    if (n == records.end() || d == records.end()) return 0.0;
-    if (d->second.qps() <= 0.0) return 0.0;
+    if (n == records.end() || d == records.end()) return std::nullopt;
+    if (d->second.qps() <= 0.0) return std::nullopt;
     return n->second.qps() / d->second.qps();
   };
-  const double churn_cached =
+  const Value churn_cached =
       qps_ratio("churn/skewed/cached/t4", "batch/skewed/cached/t4");
-  const double churn_uncached =
+  const Value churn_uncached =
       qps_ratio("churn/skewed/uncached/t4", "batch/skewed/uncached/t4");
-  const TraceOverhead trace = MeasureTraceOverhead();
+  Value span_ns, spans_per_query, hook_overhead, enabled_ratio;
+  if (const std::optional<TraceOverhead> trace = MeasureTraceOverhead()) {
+    span_ns = trace->span_ns;
+    spans_per_query = trace->spans_per_query;
+    hook_overhead = trace->hook_overhead;
+    enabled_ratio = trace->enabled_ratio;
+  }
   const ObsPlaneOverhead obs = MeasureObsPlaneOverhead();
-  std::fprintf(out,
-               "  \"summary\": {\"skewed_speedup_t1\": %.3f, "
-               "\"skewed_speedup_t4\": %.3f, "
-               "\"uniform_cached_ratio_t4\": %.3f, "
-               "\"skewed_hit_rate\": %.4f, "
-               "\"churn_updates_per_queries\": \"%zu:%zu\", "
-               "\"churn_read_ratio_t4\": %.3f, "
-               "\"churn_read_ratio_uncached_t4\": %.3f, "
-               "\"trace_span_ns\": %.2f, "
-               "\"trace_spans_per_query\": %.2f, "
-               "\"trace_hook_overhead\": %.6f, "
-               "\"trace_enabled_ratio\": %.3f, "
-               "\"obs_render_ns\": %.0f, "
-               "\"obs_sample_ns\": %.0f, "
-               "\"obs_plane_overhead\": %.8f}\n}\n",
-               skewed_1, skewed_4, uniform_4, skewed_hit_rate,
-               ChurnUpdates(), ChurnQueries(), churn_cached,
-               churn_uncached, trace.span_ns, trace.spans_per_query,
-               trace.hook_overhead, trace.enabled_ratio,
-               obs.render_ns, obs.sample_ns, obs.plane_overhead);
+
+  const std::string churn_mix =
+      std::to_string(ChurnUpdates()) + ":" + std::to_string(ChurnQueries());
+  std::string summary;
+  const auto add = [&summary](const char* name, const std::string& value) {
+    if (!summary.empty()) summary += ", ";
+    summary += std::string("\"") + name + "\": " + value;
+  };
+  add("skewed_speedup_t1", JsonNumber(skewed_1, "%.3f"));
+  add("skewed_speedup_t4", JsonNumber(skewed_4, "%.3f"));
+  add("uniform_cached_ratio_t4", JsonNumber(uniform_4, "%.3f"));
+  add("skewed_hit_rate", JsonNumber(skewed_hit_rate, "%.4f"));
+  add("churn_updates_per_queries", "\"" + churn_mix + "\"");
+  add("churn_read_ratio_t4", JsonNumber(churn_cached, "%.3f"));
+  add("churn_read_ratio_uncached_t4", JsonNumber(churn_uncached, "%.3f"));
+  add("trace_span_ns", JsonNumber(span_ns, "%.2f"));
+  add("trace_spans_per_query", JsonNumber(spans_per_query, "%.2f"));
+  add("trace_hook_overhead", JsonNumber(hook_overhead, "%.6f"));
+  add("trace_enabled_ratio", JsonNumber(enabled_ratio, "%.3f"));
+  add("obs_render_ns", JsonNumber(obs.render_ns, "%.0f"));
+  add("obs_sample_ns", JsonNumber(obs.sample_ns, "%.0f"));
+  add("obs_plane_overhead", JsonNumber(obs.plane_overhead, "%.8f"));
+  std::fprintf(out, "  \"summary\": {%s}\n}\n", summary.c_str());
   std::fclose(out);
-  std::printf("wrote %s (skewed speedup t1=%.2fx t4=%.2fx, hit rate "
-              "%.1f%%, churn ratio %.2fx, trace hook overhead %.4f%%, "
-              "obs plane overhead %.4f%%)\n",
-              path.c_str(), skewed_1, skewed_4, 100.0 * skewed_hit_rate,
-              churn_cached, 100.0 * trace.hook_overhead,
-              100.0 * obs.plane_overhead);
+  std::printf("wrote %s (summary: %s)\n", path.c_str(), summary.c_str());
 }
 
 }  // namespace knnq::bench

@@ -3,7 +3,9 @@
 //
 // Paper shape: Counting wins - Block-Marking's per-block preprocessing
 // (a neighborhood per block center) does not pay off when few points
-// share each block.
+// share each block. Counting's own per-block step, one MAXDIST scan
+// per outer block that settles the block when it can (DESIGN.md
+// note 6), computes no neighborhood.
 
 #include "benchmark/benchmark.h"
 #include "bench/bench_common.h"

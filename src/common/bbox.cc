@@ -91,6 +91,24 @@ double BoundingBox::MaxDist(const Point& p) const {
   return std::sqrt(SquaredMaxDist(p));
 }
 
+double BoundingBox::MinDist(const BoundingBox& other) const {
+  KNNQ_DCHECK(!empty() && !other.empty());
+  const double dx =
+      std::max({min_x_ - other.max_x_, 0.0, other.min_x_ - max_x_});
+  const double dy =
+      std::max({min_y_ - other.max_y_, 0.0, other.min_y_ - max_y_});
+  return std::sqrt(dx * dx + dy * dy);
+}
+
+double BoundingBox::MaxDist(const BoundingBox& other) const {
+  KNNQ_DCHECK(!empty() && !other.empty());
+  const double dx = std::max(std::abs(max_x_ - other.min_x_),
+                             std::abs(other.max_x_ - min_x_));
+  const double dy = std::max(std::abs(max_y_ - other.min_y_),
+                             std::abs(other.max_y_ - min_y_));
+  return std::sqrt(dx * dx + dy * dy);
+}
+
 std::string BoundingBox::ToString() const {
   if (empty()) return "[empty]";
   char buf[128];

@@ -70,6 +70,16 @@ class BoundingBox {
   /// MAXDIST(p, box) per [13].
   double MaxDist(const Point& p) const;
 
+  /// Least distance between a point of this box and a point of `other`:
+  /// 0 when the boxes overlap or touch. Symmetric. For every point p of
+  /// this box, MinDist(other) <= other.MinDist(p) in floating point too,
+  /// since both round the same monotone chain of operations.
+  double MinDist(const BoundingBox& other) const;
+  /// Greatest distance between a point of this box and a point of
+  /// `other`: the farthest corner pair. Symmetric. For every point p of
+  /// this box, other.MaxDist(p) <= MaxDist(other) in floating point too.
+  double MaxDist(const BoundingBox& other) const;
+
   friend bool operator==(const BoundingBox& a, const BoundingBox& b) {
     return a.min_x_ == b.min_x_ && a.min_y_ == b.min_y_ &&
            a.max_x_ == b.max_x_ && a.max_y_ == b.max_y_;

@@ -2,12 +2,15 @@
 // the selection on E2. Two filters implement it: the kNN-select of
 // Section 3 and the rectangular range of its footnote 1 (declared in
 // range_select_inner_join.h). A filter says which inner points it
-// keeps, where Counting's threshold lies, where the contour scan is
-// anchored, and when a block is Non-Contributing.
+// keeps, where Counting's threshold lies for a point and for a whole
+// block, where the contour scan is anchored, and when a block is
+// Non-Contributing.
 
 #include "src/core/select_inner_join.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -75,6 +78,16 @@ class KnnSelectFilter {
         MinSquaredDistance(xs_.data(), ys_.data(), xs_.size(), e1.x, e1.y));
   }
 
+  /// Distance from `box` to the nearest focal neighbor: at most
+  /// Threshold(e1) for every e1 in `box` (DESIGN.md note 6).
+  double BlockThreshold(const BoundingBox& box) const {
+    double least = std::numeric_limits<double>::infinity();
+    for (const Neighbor& n : nbr_f_) {
+      least = std::min(least, box.SquaredMinDist(n.point));
+    }
+    return std::sqrt(least);
+  }
+
   Point Anchor() const { return query_.focal; }
 
   /// With r the k-neighborhood radius of probe c and y the distance from
@@ -115,6 +128,11 @@ class RangeFilter {
 
   /// Every rectangle point is at least MINDIST(e1, rect) from e1.
   double Threshold(const Point& e1) const { return range_.MinDist(e1); }
+
+  /// At most Threshold(e1) for every e1 in `box` (DESIGN.md note 6).
+  double BlockThreshold(const BoundingBox& box) const {
+    return range_.MinDist(box);
+  }
 
   Point Anchor() const { return range_.Center(); }
 
@@ -165,7 +183,8 @@ Result<JoinResult> Naive(const typename Filter::Query& query,
   return pairs;
 }
 
-/// Procedure 1.
+/// Procedure 1, preceded per outer block by a block-level prune
+/// (DESIGN.md note 6).
 template <typename Filter>
 Result<JoinResult> Counting(const typename Filter::Query& query,
                             SelectInnerJoinStats* stats, ExecStats* exec,
@@ -184,35 +203,59 @@ Result<JoinResult> Counting(const typename Filter::Query& query,
     return pairs;
   }
 
-  std::size_t counting_blocks = 0;  // Blocks popped by the pruning scan.
-  // The pruning scan, held across outer tuples and restarted per tuple.
+  const SpatialIndex& outer = *query.outer;
+  const SpatialIndex& inner = *query.inner;
+  std::size_t counting_blocks = 0;  // Blocks popped by the pruning scans.
+  // The pruning scan, held across the whole loop and restarted per scan.
   std::unique_ptr<BlockScan> held_scan;
+  // One pruning scan: pops inner blocks in MAXDIST order from `from`
+  // and counts the points of every block whose `reach(id, key)`, its
+  // farthest distance from the outer points being pruned, is strictly
+  // below `bound` (DESIGN.md note 1). A reach is never below its popped
+  // key, so the first key at `bound` ends the scan. True once more than
+  // join_k points count: they displace every kept point, each at least
+  // `bound` away, from those outer points' neighborhoods.
+  const auto prunes = [&](const Point& from, double bound, auto reach) {
+    BlockScan& scan = inner.RestartScan(&held_scan, from, ScanOrder::kMaxDist);
+    std::size_t count = 0;
+    double max_dist = 0.0;
+    while (count <= query.join_k && scan.HasNext()) {
+      const BlockId id = scan.Next(&max_dist);
+      ++counting_blocks;
+      if (max_dist >= bound) break;
+      if (reach(id, max_dist) < bound) count += inner.block(id).count();
+    }
+    return count > query.join_k;
+  };
+  // From one outer point, a block reaches exactly as far as its key.
+  const auto key_reach = [](BlockId, double max_dist) { return max_dist; };
   {
     PhaseSpan phase("join_probe", &inner_searcher.stats());
-    for (const Point& e1 : query.outer->points()) {
-      // Every kept point is at least `threshold` from e1; points in
-      // inner blocks certainly closer displace all of them from e1's
-      // neighborhood once more than join_k accumulate.
-      const double threshold = filter.Threshold(e1);
-      std::size_t count = 0;
-      if (threshold > 0.0) {  // A zero threshold never prunes.
-        BlockScan& scan =
-            query.inner->RestartScan(&held_scan, e1, ScanOrder::kMaxDist);
-        double max_dist = 0.0;
-        while (count <= query.join_k && scan.HasNext()) {
-          const BlockId id = scan.Next(&max_dist);
-          ++counting_blocks;
-          // Strict comparison: only blocks whose every point is
-          // strictly within the threshold may count (DESIGN.md note 1).
-          if (max_dist >= threshold) break;
-          count += query.inner->block(id).count();
-        }
-      }
-      if (count > query.join_k) {
-        ++stats->pruned_points;
+    for (BlockId b = 0; b < outer.num_blocks(); ++b) {
+      const Block& block = outer.block(b);
+      if (block.count() == 0) continue;
+      // Settle the whole block with one scan from its center (DESIGN.md
+      // note 6): its bound is at most the threshold of each of its
+      // points, and an inner block counts only when its MAXDIST from
+      // the whole block is below that bound. A zero bound never prunes;
+      // a block the scan cannot settle runs Procedure 1 per point.
+      const auto box_reach = [&](BlockId id, double) {
+        return block.box.MaxDist(inner.block(id).box);
+      };
+      const double block_bound = filter.BlockThreshold(block.box);
+      if (block_bound > 0.0 &&
+          prunes(block.Center(), block_bound, box_reach)) {
+        stats->pruned_points += block.count();
         continue;
       }
-      JoinOne(e1, query.join_k, filter, inner_searcher, stats, pairs);
+      for (const Point& e1 : outer.BlockPoints(b)) {
+        const double threshold = filter.Threshold(e1);
+        if (threshold > 0.0 && prunes(e1, threshold, key_reach)) {
+          ++stats->pruned_points;
+          continue;
+        }
+        JoinOne(e1, query.join_k, filter, inner_searcher, stats, pairs);
+      }
     }
     phase.Count("blocks_scanned", counting_blocks);
     phase.Count("candidates_pruned", stats->pruned_points);

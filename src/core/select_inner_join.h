@@ -14,7 +14,9 @@
 //  * Counting - Procedure 1: per outer point, count inner points in
 //               blocks certainly closer than the nearest focal neighbor;
 //               more than join_k such points prove the neighborhoods
-//               cannot intersect.
+//               cannot intersect. One count per outer block first
+//               settles every point of the blocks it can (DESIGN.md
+//               note 6).
 //  * Block-Marking - Procedures 2 + 3: preprocess the OUTER index once,
 //               marking whole blocks Non-Contributing via the
 //               (r + d + f_farthest) < f_center test on block centers;

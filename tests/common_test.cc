@@ -2,10 +2,12 @@
 // the strict text parsers (including the locale-independence
 // regression: number parsing must not bend under LC_NUMERIC).
 
+#include <algorithm>
 #include <clocale>
 #include <cmath>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/common/bbox.h"
@@ -144,6 +146,93 @@ TEST(BoundingBoxTest, IntersectsDetectsOverlapAndTouching) {
 TEST(BoundingBoxTest, InflatedGrowsEachSide) {
   const BoundingBox box(0, 0, 10, 10);
   EXPECT_EQ(box.Inflated(2), BoundingBox(-2, -2, 12, 12));
+}
+
+Point At(double x, double y) { return Point{.id = 0, .x = x, .y = y}; }
+
+std::vector<Point> Corners(const BoundingBox& box) {
+  return {At(box.min_x(), box.min_y()), At(box.min_x(), box.max_y()),
+          At(box.max_x(), box.min_y()), At(box.max_x(), box.max_y())};
+}
+
+/// A coordinate near 1e4 with a decimal fraction no double holds
+/// exactly, like the coordinates of real data.
+double RoughCoordinate(Rng& rng) {
+  return 1e4 + static_cast<double>(rng.UniformInt(-3000, 3000)) / 10.0;
+}
+
+/// A box of RoughCoordinates; one in eight has zero width.
+BoundingBox RoughBox(Rng& rng) {
+  const double x1 = RoughCoordinate(rng);
+  const double x2 = rng.NextIndex(8) == 0 ? x1 : RoughCoordinate(rng);
+  const double y1 = RoughCoordinate(rng);
+  const double y2 = RoughCoordinate(rng);
+  return BoundingBox(std::min(x1, x2), std::min(y1, y2), std::max(x1, x2),
+                     std::max(y1, y2));
+}
+
+TEST(BoundingBoxTest, BoxDistancesAreSymmetric) {
+  Rng rng(17);
+  for (int i = 0; i < 500; ++i) {
+    const BoundingBox a = RoughBox(rng);
+    const BoundingBox b = RoughBox(rng);
+    EXPECT_EQ(a.MinDist(b), b.MinDist(a));
+    EXPECT_EQ(a.MaxDist(b), b.MaxDist(a));
+  }
+}
+
+TEST(BoundingBoxTest, BoxMinDistIsZeroForOverlappingOrTouchingBoxes) {
+  const BoundingBox a(0, 0, 10, 10);
+  EXPECT_EQ(a.MinDist(BoundingBox(5, 5, 15, 15)), 0.0);
+  EXPECT_EQ(a.MinDist(BoundingBox(2, 2, 3, 3)), 0.0);      // Nested.
+  EXPECT_EQ(a.MinDist(BoundingBox(10, 0, 20, 10)), 0.0);   // Shared edge.
+  EXPECT_EQ(a.MinDist(BoundingBox(10, 10, 20, 20)), 0.0);  // Shared corner.
+  EXPECT_DOUBLE_EQ(a.MinDist(BoundingBox(2, 13, 4, 20)), 3.0);
+  EXPECT_DOUBLE_EQ(a.MinDist(BoundingBox(13, 14, 20, 20)), 5.0);
+}
+
+TEST(BoundingBoxTest, BoxMaxDistIsTheFarthestCornerPair) {
+  Rng rng(19);
+  for (int i = 0; i < 500; ++i) {
+    const BoundingBox a = RoughBox(rng);
+    const BoundingBox b = RoughBox(rng);
+    double farthest = 0.0;
+    for (const Point& p : Corners(a)) {
+      for (const Point& q : Corners(b)) {
+        farthest = std::max(farthest, Distance(p, q));
+      }
+    }
+    EXPECT_EQ(a.MaxDist(b), farthest);
+  }
+}
+
+// Counting's block-level prune (DESIGN.md note 6) needs both bounds to
+// hold for every point of a box as computed in doubles, not only in
+// real arithmetic: no epsilon here.
+TEST(BoundingBoxTest, BoxDistancesBoundEveryPointOfTheBoxInDoubles) {
+  Rng rng(23);
+  for (int i = 0; i < 2000; ++i) {
+    const BoundingBox a = RoughBox(rng);
+    const BoundingBox b = RoughBox(rng);
+    const Point center = a.Center();
+    std::vector<Point> probes = Corners(a);
+    probes.push_back(At(center.x, a.min_y()));
+    probes.push_back(At(center.x, a.max_y()));
+    probes.push_back(At(a.min_x(), center.y));
+    probes.push_back(At(a.max_x(), center.y));
+    for (int j = 0; j < 8; ++j) {
+      // Uniform's rounding may land a hair past the upper edge.
+      const double x = rng.Uniform(a.min_x(), a.max_x());
+      const double y = rng.Uniform(a.min_y(), a.max_y());
+      probes.push_back(At(std::min(x, a.max_x()), std::min(y, a.max_y())));
+    }
+    const std::string boxes = a.ToString() + " and " + b.ToString();
+    for (const Point& p : probes) {
+      ASSERT_TRUE(a.Contains(p));
+      EXPECT_LE(a.MinDist(b), b.MinDist(p)) << boxes << " at " << p.ToString();
+      EXPECT_LE(b.MaxDist(p), a.MaxDist(b)) << boxes << " at " << p.ToString();
+    }
+  }
 }
 
 TEST(StatusTest, OkByDefault) {

@@ -12,10 +12,15 @@
 namespace knnq {
 namespace {
 
+using testing::JoinIndexes;
+using testing::JoinLayout;
+using testing::LayoutSuffix;
 using testing::MakeCity;
 using testing::MakeClustered;
 using testing::MakeIndex;
+using testing::MakeJoinIndexes;
 using testing::MakeUniform;
+using testing::RefCountingPruned;
 
 // --- Range selection on the inner relation (footnote 1) ---
 
@@ -37,15 +42,14 @@ struct RangeCase {
   IndexType type;
   std::size_t join_k;
   BoundingBox range;
-  /// Outer and inner are the same index.
-  bool self_join = false;
+  JoinLayout layout = JoinLayout::kPlain;
 };
 
 std::string RangeCaseName(const ::testing::TestParamInfo<RangeCase>& info) {
   return std::string(ToString(info.param.type)) + "_k" +
          std::to_string(info.param.join_k) + "_case" +
          std::to_string(info.param.range.Area() > 100000 ? 1 : 0) +
-         std::to_string(info.index) + (info.param.self_join ? "_self" : "");
+         std::to_string(info.index) + LayoutSuffix(info.param.layout);
 }
 
 class RangeSelectInnerJoinPropertyTest
@@ -53,21 +57,31 @@ class RangeSelectInnerJoinPropertyTest
 
 TEST_P(RangeSelectInnerJoinPropertyTest, AllEvaluatorsMatchBruteForce) {
   const RangeCase& c = GetParam();
-  const PointSet inner = MakeCity(1200, /*seed=*/162, /*first_id=*/100000);
-  const PointSet outer =
-      c.self_join ? inner : MakeUniform(300, /*seed=*/161, /*first_id=*/0);
-  const auto inner_index = MakeIndex(inner, c.type);
-  const auto outer_index = c.self_join ? nullptr : MakeIndex(outer, c.type);
+  const PointSet city = MakeCity(1200, /*seed=*/162, /*first_id=*/100000);
+  const PointSet uniform = MakeUniform(300, /*seed=*/161);
+  const JoinIndexes indexes = MakeJoinIndexes(uniform, city, c.type, c.layout);
+  const PointSet& outer = indexes.outer->points();
+  const PointSet& inner = indexes.inner->points();
   const RangeSelectInnerJoinQuery query{
-      .outer = c.self_join ? inner_index.get() : outer_index.get(),
-      .inner = inner_index.get(),
+      .outer = indexes.outer,
+      .inner = indexes.inner.get(),
       .join_k = c.join_k,
       .range = c.range,
   };
   const JoinResult expected =
       RefRangeSelectInnerJoin(outer, inner, c.join_k, c.range);
   EXPECT_EQ(*RangeSelectInnerJoinNaive(query), expected);
-  EXPECT_EQ(*RangeSelectInnerJoinCounting(query), expected);
+  SelectInnerJoinStats stats;
+  EXPECT_EQ(*RangeSelectInnerJoinCounting(query, &stats), expected);
+  // The rows alone miss a prune of one point too many when that point
+  // joins nothing.
+  const auto threshold = [&c](const Point& e1) { return c.range.MinDist(e1); };
+  const std::size_t want_pruned =
+      RefCountingPruned(*indexes.outer, *indexes.inner, c.join_k, threshold);
+  EXPECT_EQ(stats.pruned_points, want_pruned)
+      << "Counting prunes other points than Procedure 1";
+  EXPECT_EQ(stats.pruned_points + stats.neighborhoods_computed,
+            outer.size());
   EXPECT_EQ(
       *RangeSelectInnerJoinBlockMarking(query, PreprocessMode::kContour),
       expected);
@@ -87,11 +101,23 @@ INSTANTIATE_TEST_SUITE_P(
                   BoundingBox(600, 200, 900, 500)},
         RangeCase{IndexType::kRTree, 4, BoundingBox(600, 200, 900, 500)},
         RangeCase{IndexType::kGrid, 3, BoundingBox(600, 200, 900, 500),
-                  /*self_join=*/true},
+                  JoinLayout::kSelfJoin},
         RangeCase{IndexType::kQuadtree, 3, BoundingBox(600, 200, 900, 500),
-                  /*self_join=*/true},
+                  JoinLayout::kSelfJoin},
         RangeCase{IndexType::kRTree, 3, BoundingBox(600, 200, 900, 500),
-                  /*self_join=*/true}),
+                  JoinLayout::kSelfJoin},
+        RangeCase{IndexType::kGrid, 2, BoundingBox(600, 200, 900, 500),
+                  JoinLayout::kShards4},
+        RangeCase{IndexType::kQuadtree, 2, BoundingBox(100, 100, 300, 250),
+                  JoinLayout::kShards4},
+        RangeCase{IndexType::kGrid, 2, BoundingBox(600, 200, 900, 500),
+                  JoinLayout::kZeroWidthOuter},
+        RangeCase{IndexType::kRTree, 2, BoundingBox(100, 100, 300, 250),
+                  JoinLayout::kZeroWidthOuter},
+        RangeCase{IndexType::kGrid, 2, BoundingBox(600, 200, 900, 500),
+                  JoinLayout::kMutatedInner},
+        RangeCase{IndexType::kRTree, 2, BoundingBox(100, 100, 300, 250),
+                  JoinLayout::kMutatedInner}),
     RangeCaseName);
 
 TEST(RangeSelectInnerJoinTest, CountingPrunesOutsideTheRectangle) {

@@ -440,10 +440,13 @@ TEST(AllocationTest, WarmRestartedScanAllocatesNothing) {
 }
 
 TEST(AllocationTest, CountingProbeLoopAllocatesLessThanOncePerOuterPoint) {
-  // Procedure 1 scans the inner relation once per outer point; with
-  // the focal point in a corner most outer points are pruned by that
-  // scan alone, so a loop that allocated per scan would allocate at
-  // least once per outer point.
+  // Counting scans the inner relation once per outer block, and once
+  // per outer point in the blocks that scan cannot settle (DESIGN.md
+  // note 6); with the focal point in a corner most outer points are
+  // pruned. The loop holds one scan for all of those scans. Most blocks
+  // settle here, so a loop that allocated per scan could stay under
+  // this bound as well; WarmRestartedScanAllocatesNothing holds a warm
+  // restart to zero allocations.
   const PointSet outer = MakeUniform(5000, 59);
   const PointSet inner = MakeUniform(5000, 61, /*first_id=*/100000);
   for (const IndexType type : AllIndexTypes()) {

@@ -4,6 +4,10 @@
 // equals an index-free brute-force evaluation - across index
 // structures, data shapes, and k combinations.
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "gtest/gtest.h"
 #include "src/core/select_inner_join.h"
 #include "tests/test_util.h"
@@ -11,11 +15,18 @@
 namespace knnq {
 namespace {
 
+using testing::JoinIndexes;
+using testing::JoinLayout;
+using testing::LayoutSuffix;
 using testing::MakeCity;
 using testing::MakeClustered;
 using testing::MakeIndex;
+using testing::MakeJoinIndexes;
 using testing::MakeUniform;
+using testing::RefCountingPruned;
 using testing::RefSelectInnerJoin;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 struct SijCase {
   IndexType type;
@@ -23,9 +34,7 @@ struct SijCase {
   std::size_t inner_n;
   std::size_t join_k;
   std::size_t select_k;
-  /// Outer and inner are the same index, so outer points coincide with
-  /// focal neighbors (distance 0 to the nearest one).
-  bool self_join = false;
+  JoinLayout layout = JoinLayout::kPlain;
 };
 
 std::string CaseName(const ::testing::TestParamInfo<SijCase>& info) {
@@ -33,8 +42,7 @@ std::string CaseName(const ::testing::TestParamInfo<SijCase>& info) {
          std::to_string(info.param.outer_n) + "_i" +
          std::to_string(info.param.inner_n) + "_kj" +
          std::to_string(info.param.join_k) + "_ks" +
-         std::to_string(info.param.select_k) +
-         (info.param.self_join ? "_self" : "");
+         std::to_string(info.param.select_k) + LayoutSuffix(info.param.layout);
 }
 
 class SelectInnerJoinPropertyTest
@@ -42,18 +50,16 @@ class SelectInnerJoinPropertyTest
 
 TEST_P(SelectInnerJoinPropertyTest, AllEvaluatorsAgreeWithBruteForce) {
   const SijCase& c = GetParam();
-  const PointSet inner =
-      MakeCity(c.inner_n, /*seed=*/62, /*first_id=*/100000);
-  const PointSet outer =
-      c.self_join ? inner
-                  : MakeUniform(c.outer_n, /*seed=*/61, /*first_id=*/0);
-  const auto inner_index = MakeIndex(inner, c.type);
-  const auto outer_index = c.self_join ? nullptr : MakeIndex(outer, c.type);
+  const PointSet city = MakeCity(c.inner_n, /*seed=*/62, /*first_id=*/100000);
+  const PointSet uniform = MakeUniform(c.outer_n, /*seed=*/61);
+  const JoinIndexes indexes = MakeJoinIndexes(uniform, city, c.type, c.layout);
+  const PointSet& outer = indexes.outer->points();
+  const PointSet& inner = indexes.inner->points();
   const Point focal{.id = -1, .x = 700, .y = 300};
 
   const SelectInnerJoinQuery query{
-      .outer = c.self_join ? inner_index.get() : outer_index.get(),
-      .inner = inner_index.get(),
+      .outer = indexes.outer,
+      .inner = indexes.inner.get(),
       .join_k = c.join_k,
       .focal = focal,
       .select_k = c.select_k,
@@ -65,9 +71,26 @@ TEST_P(SelectInnerJoinPropertyTest, AllEvaluatorsAgreeWithBruteForce) {
   ASSERT_TRUE(naive.ok());
   EXPECT_EQ(*naive, expected) << "naive deviates from brute force";
 
-  const auto counting = SelectInnerJoinCounting(query);
+  SelectInnerJoinStats stats;
+  const auto counting = SelectInnerJoinCounting(query, &stats);
   ASSERT_TRUE(counting.ok());
   EXPECT_EQ(*counting, expected) << "Counting deviates";
+  // A prune of one point too many can leave the rows intact (when that
+  // point joins nothing), so the count is checked on its own.
+  const Neighborhood nbr_f = BruteForceKnn(inner, focal, c.select_k);
+  const auto threshold = [&nbr_f](const Point& e1) {
+    double least = kInf;
+    for (const Neighbor& n : nbr_f) {
+      least = std::min(least, SquaredDistance(e1, n.point));
+    }
+    return std::sqrt(least);
+  };
+  const std::size_t want_pruned =
+      RefCountingPruned(*indexes.outer, *indexes.inner, c.join_k, threshold);
+  EXPECT_EQ(stats.pruned_points, want_pruned)
+      << "Counting prunes other points than Procedure 1";
+  EXPECT_EQ(stats.pruned_points + stats.neighborhoods_computed,
+            outer.size());
 
   const auto contour =
       SelectInnerJoinBlockMarking(query, PreprocessMode::kContour);
@@ -92,9 +115,19 @@ INSTANTIATE_TEST_SUITE_P(
         SijCase{IndexType::kQuadtree, 400, 1500, 5, 5},
         SijCase{IndexType::kRTree, 150, 800, 2, 10},
         SijCase{IndexType::kRTree, 400, 1500, 5, 5},
-        SijCase{IndexType::kGrid, 800, 800, 3, 10, /*self_join=*/true},
-        SijCase{IndexType::kQuadtree, 800, 800, 3, 10, /*self_join=*/true},
-        SijCase{IndexType::kRTree, 800, 800, 3, 10, /*self_join=*/true}),
+        SijCase{IndexType::kGrid, 800, 800, 3, 10, JoinLayout::kSelfJoin},
+        SijCase{IndexType::kQuadtree, 800, 800, 3, 10, JoinLayout::kSelfJoin},
+        SijCase{IndexType::kRTree, 800, 800, 3, 10, JoinLayout::kSelfJoin},
+        SijCase{IndexType::kGrid, 400, 1500, 2, 5, JoinLayout::kShards4},
+        SijCase{IndexType::kRTree, 400, 1500, 2, 5, JoinLayout::kShards4},
+        SijCase{IndexType::kGrid, 400, 1500, 2, 5,
+                JoinLayout::kZeroWidthOuter},
+        SijCase{IndexType::kRTree, 400, 1500, 2, 5,
+                JoinLayout::kZeroWidthOuter},
+        SijCase{IndexType::kQuadtree, 400, 1500, 2, 5,
+                JoinLayout::kMutatedInner},
+        SijCase{IndexType::kRTree, 400, 1500, 2, 5,
+                JoinLayout::kMutatedInner}),
     CaseName);
 
 TEST(SelectInnerJoinTest, ClusteredOuterAgreesAcrossEvaluators) {

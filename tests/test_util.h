@@ -69,12 +69,89 @@ inline PointSet MakeClustered(std::size_t num_clusters,
 /// small test relations span many blocks and the pruning paths fire).
 inline std::unique_ptr<SpatialIndex> MakeIndex(
     const PointSet& points, IndexType type = IndexType::kGrid,
-    std::size_t block_capacity = 16) {
+    std::size_t block_capacity = 16, std::size_t shards = 1) {
   IndexOptions options;
   options.type = type;
   options.block_capacity = block_capacity;
+  options.shards = shards;
   auto index = BuildIndex(points, options);
   return std::move(index).value();
+}
+
+/// How the Section 3 property suites lay out a join's two indexes. Each
+/// layout past kPlain stresses an assumption of Counting's block-level
+/// prune (DESIGN.md note 6).
+enum class JoinLayout {
+  kPlain,
+  /// Outer and inner are one index: some outer points sit on focal
+  /// neighbors, so their thresholds and their blocks' bounds are zero.
+  kSelfJoin,
+  /// Both indexes are 4-shard ShardedIndexes.
+  kShards4,
+  /// Every outer point has the same x, so the outer blocks have zero
+  /// width.
+  kZeroWidthOuter,
+  /// The inner index moved 30 points (Erase + Insert) after its build,
+  /// so some of its block boxes are supersets of their points.
+  kMutatedInner,
+};
+
+/// Test-name suffix of a layout.
+inline const char* LayoutSuffix(JoinLayout layout) {
+  switch (layout) {
+    case JoinLayout::kPlain:
+      return "";
+    case JoinLayout::kSelfJoin:
+      return "_self";
+    case JoinLayout::kShards4:
+      return "_shards4";
+    case JoinLayout::kZeroWidthOuter:
+      return "_zerowidth";
+    case JoinLayout::kMutatedInner:
+      return "_mutated";
+  }
+  return "";
+}
+
+/// A join's outer and inner index, laid out per JoinLayout. For a
+/// self-join `outer` is `inner`.
+struct JoinIndexes {
+  std::unique_ptr<SpatialIndex> inner;
+  std::unique_ptr<SpatialIndex> own_outer;
+  const SpatialIndex* outer = nullptr;
+};
+
+/// Builds the indexes of a join over `outer` and `inner` (`outer` is
+/// ignored for a self-join). Brute-force references must read the
+/// points back from the indexes: the layout may change them.
+inline JoinIndexes MakeJoinIndexes(PointSet outer, const PointSet& inner,
+                                   IndexType type, JoinLayout layout) {
+  const std::size_t shards = layout == JoinLayout::kShards4 ? 4 : 1;
+  JoinIndexes indexes;
+  indexes.inner = MakeIndex(inner, type, 16, shards);
+  if (layout == JoinLayout::kSelfJoin) {
+    indexes.outer = indexes.inner.get();
+    return indexes;
+  }
+  if (layout == JoinLayout::kZeroWidthOuter) {
+    for (Point& p : outer) p.x = 437.3;
+  }
+  if (layout == JoinLayout::kMutatedInner) {
+    // Moves stay inside the indexed extent, so no structure rebuilds.
+    const BoundingBox extent = indexes.inner->bounds();
+    Rng rng(71);
+    for (int i = 0; i < 30; ++i) {
+      const PointSet& points = indexes.inner->points();
+      Point p = points[rng.NextIndex(points.size())];
+      EXPECT_TRUE(indexes.inner->Erase(p.id).ok());
+      p.x = rng.Uniform(extent.min_x(), extent.max_x());
+      p.y = rng.Uniform(extent.min_y(), extent.max_y());
+      EXPECT_TRUE(indexes.inner->Insert(p).ok());
+    }
+  }
+  indexes.own_outer = MakeIndex(outer, type, 16, shards);
+  indexes.outer = indexes.own_outer.get();
+  return indexes;
 }
 
 // --- Brute-force reference implementations ---
@@ -140,6 +217,31 @@ inline TwoSelectsResult RefTwoSelects(const PointSet& relation,
                                       const Point& f2, std::size_t k2) {
   return IntersectNeighborhoods(BruteForceKnn(relation, f1, k1),
                                 BruteForceKnn(relation, f2, k2));
+}
+
+/// Procedure 1's per-point rule over plain NewScan(e1, kMaxDist) scans
+/// of `inner`: the number of outer points for which more than `join_k`
+/// points lie in inner blocks popped, in MAXDIST order, before the first
+/// block whose MAXDIST reaches `threshold(e1)`. Counting must prune
+/// exactly these points, however it gets there.
+template <typename ThresholdFn>
+std::size_t RefCountingPruned(const SpatialIndex& outer,
+                              const SpatialIndex& inner, std::size_t join_k,
+                              ThresholdFn threshold) {
+  std::size_t pruned = 0;
+  for (const Point& e1 : outer.points()) {
+    const double t = threshold(e1);
+    auto scan = inner.NewScan(e1, ScanOrder::kMaxDist);
+    std::size_t count = 0;
+    double max_dist = 0.0;
+    while (count <= join_k && scan->HasNext()) {
+      const BlockId id = scan->Next(&max_dist);
+      if (max_dist >= t) break;
+      count += inner.block(id).count();
+    }
+    if (count > join_k) ++pruned;
+  }
+  return pruned;
 }
 
 /// All index types, for parameterized suites.

@@ -52,6 +52,9 @@ shards (bench_engine_shards):
     past the k-th neighbor bound)
   * total_errors     == 0    (every query and mutation succeeded)
 
+A gated field the bench wrote as null (a filtered run that skipped the
+rows it derives from) is reported as "not measured" and fails the gate.
+
 Exit code 0 = pass, 1 = regression or malformed input.
 """
 
@@ -91,22 +94,54 @@ def normalized_qps(doc, path):
             and not name.startswith("churn/")}
 
 
+def measured(summary, name, failures, default=0.0):
+    """summary[name], or None when the bench wrote null for it: the rows
+    it derives from did not run, which fails the gate."""
+    value = summary.get(name, default)
+    if value is None:
+        print(f"{name}: not measured")
+        failures.append(f"{name} was not measured (null): the benchmark "
+                        f"rows it derives from did not run")
+    return value
+
+
 def check_engine_batch(current, baseline, failures):
     summary = current.get("summary", {})
-    speedup = summary.get("skewed_speedup_t1", 0.0)
-    hit_rate = summary.get("skewed_hit_rate", 0.0)
-    print(f"\nskewed_speedup_t1={speedup:.2f}x "
-          f"(floor {MIN_SKEWED_SPEEDUP}x), "
-          f"skewed_hit_rate={hit_rate:.2%} "
-          f"(floor {MIN_SKEWED_HIT_RATE:.0%})")
-    if speedup < MIN_SKEWED_SPEEDUP:
-        failures.append(f"skewed_speedup_t1 {speedup:.2f}x is below the "
-                        f"{MIN_SKEWED_SPEEDUP}x floor")
-    if hit_rate < MIN_SKEWED_HIT_RATE:
-        failures.append(f"skewed_hit_rate {hit_rate:.2%} is below the "
-                        f"{MIN_SKEWED_HIT_RATE:.0%} floor")
+    print()
+    speedup = measured(summary, "skewed_speedup_t1", failures)
+    if speedup is not None:
+        print(f"skewed_speedup_t1={speedup:.2f}x "
+              f"(floor {MIN_SKEWED_SPEEDUP}x)")
+        if speedup < MIN_SKEWED_SPEEDUP:
+            failures.append(f"skewed_speedup_t1 {speedup:.2f}x is below "
+                            f"the {MIN_SKEWED_SPEEDUP}x floor")
+    hit_rate = measured(summary, "skewed_hit_rate", failures)
+    if hit_rate is not None:
+        print(f"skewed_hit_rate={hit_rate:.2%} "
+              f"(floor {MIN_SKEWED_HIT_RATE:.0%})")
+        if hit_rate < MIN_SKEWED_HIT_RATE:
+            failures.append(f"skewed_hit_rate {hit_rate:.2%} is below the "
+                            f"{MIN_SKEWED_HIT_RATE:.0%} floor")
 
-    churn_ratio = summary.get("churn_read_ratio_t4", 0.0)
+    churn_ratio = measured(summary, "churn_read_ratio_t4", failures)
+    if churn_ratio is not None:
+        check_churn(churn_ratio, summary, baseline, failures)
+
+    # Observability acceptance: disabled tracing hooks must be free in
+    # the fraction-of-a-query sense. Measured only by full runs (the
+    # serial reference row is its denominator).
+    overhead = measured(summary, "trace_hook_overhead", failures)
+    if overhead is not None:
+        check_trace_overhead(overhead, summary, baseline, failures)
+
+    # The HTTP observability plane's duty-cycle cost (1 Hz sampler +
+    # 1 Hz scraper), same 2% budget as the trace hooks.
+    obs_overhead = measured(summary, "obs_plane_overhead", failures)
+    if obs_overhead is not None:
+        check_obs_overhead(obs_overhead, summary, baseline, failures)
+
+
+def check_churn(churn_ratio, summary, baseline, failures):
     if churn_ratio > 0.0:
         print(f"churn_read_ratio_t4={churn_ratio:.2f}x "
               f"(floor {MIN_CHURN_READ_RATIO}x, update:query "
@@ -123,10 +158,8 @@ def check_engine_batch(current, baseline, failures):
             failures.append("current run is missing the churn "
                             "benchmarks the baseline includes")
 
-    # Observability acceptance: disabled tracing hooks must be free in
-    # the fraction-of-a-query sense. Measured only by full runs (the
-    # serial reference row is its denominator).
-    overhead = summary.get("trace_hook_overhead", 0.0)
+
+def check_trace_overhead(overhead, summary, baseline, failures):
     if overhead > 0.0 or "trace_spans_per_query" in summary:
         print(f"trace_hook_overhead={overhead:.4%} "
               f"(ceiling {MAX_TRACE_HOOK_OVERHEAD:.0%}), "
@@ -141,9 +174,8 @@ def check_engine_batch(current, baseline, failures):
         failures.append("current run is missing the trace overhead "
                         "measurement the baseline includes")
 
-    # The HTTP observability plane's duty-cycle cost (1 Hz sampler +
-    # 1 Hz scraper), same 2% budget as the trace hooks.
-    obs_overhead = summary.get("obs_plane_overhead", 0.0)
+
+def check_obs_overhead(obs_overhead, summary, baseline, failures):
     if obs_overhead > 0.0 or "obs_render_ns" in summary:
         print(f"obs_plane_overhead={obs_overhead:.4%} "
               f"(ceiling {MAX_OBS_PLANE_OVERHEAD:.0%}), "
