@@ -137,15 +137,4 @@ Result<Point> ParsePointText(std::string_view text) {
   return Point{.id = -1, .x = (*fields)[0], .y = (*fields)[1]};
 }
 
-Result<BoundingBox> ParseBoxText(std::string_view text) {
-  auto fields = ParseFields(text, 4, "X1,Y1,X2,Y2");
-  if (!fields.ok()) return fields.status();
-  const double x1 = (*fields)[0], y1 = (*fields)[1];
-  const double x2 = (*fields)[2], y2 = (*fields)[3];
-  if (x1 > x2 || y1 > y2) {
-    return Status::InvalidArgument("corners must be min,max");
-  }
-  return BoundingBox(x1, y1, x2, y2);
-}
-
 }  // namespace knnq

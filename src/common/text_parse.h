@@ -1,5 +1,5 @@
 // Strict textual parsing of the scalar shapes user input arrives in:
-// numbers, "X,Y" points and "X1,Y1,X2,Y2" boxes.
+// numbers and "X,Y" points.
 //
 // One set of rules serves every front door — the CLI's flag values and
 // the KNNQL lexer (src/lang/lexer.h) — so a coordinate that parses in
@@ -11,7 +11,6 @@
 #include <string>
 #include <string_view>
 
-#include "src/common/bbox.h"
 #include "src/common/point.h"
 #include "src/common/status.h"
 
@@ -40,9 +39,6 @@ Result<std::size_t> ParseSize(std::string_view text);
 /// Parses "X,Y" into a point with id -1 (focal points are not relation
 /// members). Whitespace around each coordinate is allowed.
 Result<Point> ParsePointText(std::string_view text);
-
-/// Parses "X1,Y1,X2,Y2" into a box, requiring min,max corner order.
-Result<BoundingBox> ParseBoxText(std::string_view text);
 
 }  // namespace knnq
 

@@ -34,8 +34,8 @@ struct ExecStats {
   /// the quantity the paper's optimizations exist to maximize.
   std::size_t candidates_pruned = 0;
   /// Wall-clock time of the evaluation. Evaluators leave this at zero;
-  /// the executor wrapper (PhysicalPlan::Execute) fills it so counter
-  /// accumulation stays out of the timed region's hot loops.
+  /// PhysicalPlan::Execute fills it so counter accumulation stays out
+  /// of the timed region's hot loops.
   double wall_seconds = 0.0;
   /// getkNN probes served from the engine's shared NeighborhoodCache
   /// (a hit skips locality construction entirely) vs. computed and

@@ -12,7 +12,6 @@
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
 #include "src/data/dataset_io.h"
-#include "src/engine/executor.h"
 #include "src/engine/neighborhood_cache.h"
 #include "src/index/sharded_index.h"
 #include "src/lang/knnql.h"
@@ -214,10 +213,7 @@ void QueryEngine::ExecutePlan(const PhysicalPlan& plan,
                               EngineResult* result) const {
   obs::ScopedSpan span("execute");
   result->algorithm = plan.algorithm();
-  const ExecutorRegistry& registry = options_.registry != nullptr
-                                         ? *options_.registry
-                                         : ExecutorRegistry::Default();
-  auto output = plan.Execute(registry, &result->stats, cache_.get());
+  auto output = plan.Execute(&result->stats, cache_.get());
   if (cache_ != nullptr) {
     result->stats.cache_bytes = cache_->size_bytes();
   }

@@ -66,7 +66,6 @@
 
 namespace knnq {
 
-class ExecutorRegistry;   // src/engine/executor.h
 class NeighborhoodCache;  // src/engine/neighborhood_cache.h
 struct DmlRequest;
 
@@ -124,10 +123,6 @@ struct EngineOptions {
   /// to pinned-snapshot reads and copy-on-write DML (see the header
   /// comment).
   IndexOptions index_options;
-
-  /// Executor registry to dispatch through; null means
-  /// ExecutorRegistry::Default(). Must outlive the engine.
-  const ExecutorRegistry* registry = nullptr;
 
   /// Slow-query log threshold in milliseconds: any statement whose
   /// wall time reaches it is logged (obs::Logger, event "slow_query")

@@ -10,37 +10,6 @@
 
 namespace knnq {
 
-/// Grants the optimizer write access to PhysicalPlan's bound state.
-class PlanBuilder {
- public:
-  static PhysicalPlan Build(Algorithm algorithm, const SpatialIndex* r1,
-                            const SpatialIndex* r2, const SpatialIndex* r3,
-                            const Point& f1, const Point& f2, std::size_t k1,
-                            std::size_t k2, bool swapped,
-                            PreprocessMode preprocess, bool cache,
-                            std::string query_text, std::string rationale,
-                            std::string rule_note,
-                            const BoundingBox& range = BoundingBox()) {
-    PhysicalPlan plan;
-    plan.range_ = range;
-    plan.algorithm_ = algorithm;
-    plan.r1_ = r1;
-    plan.r2_ = r2;
-    plan.r3_ = r3;
-    plan.f1_ = f1;
-    plan.f2_ = f2;
-    plan.k1_ = k1;
-    plan.k2_ = k2;
-    plan.swapped_ = swapped;
-    plan.preprocess_ = preprocess;
-    plan.cache_ = cache;
-    plan.query_text_ = std::move(query_text);
-    plan.rationale_ = std::move(rationale);
-    plan.rule_note_ = std::move(rule_note);
-    return plan;
-  }
-};
-
 namespace {
 
 Status CheckK(std::size_t k, const char* what) {
@@ -74,11 +43,14 @@ Result<PhysicalPlan> PlanTwoSelects(const Catalog& catalog,
         << " locality with the k=" << std::min(spec.s1.k, spec.s2.k)
         << " result's search threshold (Procedure 5)";
   }
-  return PlanBuilder::Build(
+  return PhysicalPlan(
       naive ? Algorithm::kTwoSelectsNaive : Algorithm::kTwoSelectsOptimized,
-      *relation, nullptr, nullptr, spec.s1.focal, spec.s2.focal, spec.s1.k,
-      spec.s2.k, /*swapped=*/false, options.preprocess_mode,
-      /*cache=*/false, knnql::Unparse(spec), why.str(),
+      TwoSelectsQuery{.relation = *relation,
+                      .f1 = spec.s1.focal,
+                      .k1 = spec.s1.k,
+                      .f2 = spec.s2.focal,
+                      .k2 = spec.s2.k},
+      knnql::Unparse(spec), why.str(),
       RuleRationale(Rewrite::kCascadeSelects));
 }
 
@@ -110,10 +82,14 @@ Result<PhysicalPlan> PlanSelectInnerJoin(const Catalog& catalog,
         << ": Block-Marking amortizes pruning per block "
            "(Section 3.3, Fig. 21)";
   }
-  return PlanBuilder::Build(
-      algorithm, *outer, *inner, nullptr, spec.select.focal, Point{},
-      spec.join_k, spec.select.k, /*swapped=*/false, options.preprocess_mode,
-      /*cache=*/false, knnql::Unparse(spec), why.str(),
+  return PhysicalPlan(
+      algorithm,
+      SelectInnerJoinQuery{.outer = *outer,
+                           .inner = *inner,
+                           .join_k = spec.join_k,
+                           .focal = spec.select.focal,
+                           .select_k = spec.select.k},
+      knnql::Unparse(spec), why.str(),
       RuleRationale(Rewrite::kPushSelectBelowInnerJoinInput));
 }
 
@@ -128,12 +104,15 @@ Result<PhysicalPlan> PlanSelectOuterJoin(const Catalog& catalog,
   if (!inner.ok()) return inner.status();
 
   const bool naive = options.force_naive;
-  return PlanBuilder::Build(
+  return PhysicalPlan(
       naive ? Algorithm::kSelectOuterJoinLate
             : Algorithm::kSelectOuterJoinPushed,
-      *outer, *inner, nullptr, spec.select.focal, Point{}, spec.join_k,
-      spec.select.k, /*swapped=*/false, options.preprocess_mode,
-      /*cache=*/false, knnql::Unparse(spec),
+      SelectOuterJoinQuery{.outer = *outer,
+                           .inner = *inner,
+                           .join_k = spec.join_k,
+                           .focal = spec.select.focal,
+                           .select_k = spec.select.k},
+      knnql::Unparse(spec),
       naive ? "forced late filter (join everything, then select)"
             : "selection on the OUTER side pushes below the join safely; "
               "only the k selected points are joined",
@@ -192,11 +171,21 @@ Result<PhysicalPlan> PlanUnchained(const Catalog& catalog,
         << (swapped ? spec.c : spec.a)
         << ") so more blocks of the other side prune (Section 4.1.2)";
   }
-  return PlanBuilder::Build(algorithm, *a, *b, *c, Point{}, Point{},
-                            spec.k_ab, spec.k_cb, swapped,
-                            options.preprocess_mode, /*cache=*/false,
-                            knnql::Unparse(spec), why.str(),
-                            RuleRationale(Rewrite::kCascadeUnchainedJoins));
+  // A swapped plan runs (C JOIN B) first: C takes A's place.
+  const UnchainedJoinsQuery query =
+      swapped ? UnchainedJoinsQuery{.a = *c,
+                                    .b = *b,
+                                    .c = *a,
+                                    .k_ab = spec.k_cb,
+                                    .k_cb = spec.k_ab}
+              : UnchainedJoinsQuery{.a = *a,
+                                    .b = *b,
+                                    .c = *c,
+                                    .k_ab = spec.k_ab,
+                                    .k_cb = spec.k_cb};
+  return PhysicalPlan(algorithm, query, knnql::Unparse(spec), why.str(),
+                      RuleRationale(Rewrite::kCascadeUnchainedJoins),
+                      swapped);
 }
 
 Result<PhysicalPlan> PlanChained(const Catalog& catalog,
@@ -212,11 +201,14 @@ Result<PhysicalPlan> PlanChained(const Catalog& catalog,
   if (!c.ok()) return c.status();
 
   const bool naive = options.force_naive;
-  return PlanBuilder::Build(
+  return PhysicalPlan(
       naive ? Algorithm::kChainedJoinIntersection
             : Algorithm::kChainedNestedJoin,
-      *a, *b, *c, Point{}, Point{}, spec.k_ab, spec.k_bc,
-      /*swapped=*/false, options.preprocess_mode, options.cache_chained,
+      ChainedJoinsQuery{.a = *a,
+                        .b = *b,
+                        .c = *c,
+                        .k_ab = spec.k_ab,
+                        .k_bc = spec.k_bc},
       knnql::Unparse(spec),
       naive ? "forced conceptually correct QEP (both joins independently, "
               "intersect on B)"
@@ -253,11 +245,14 @@ Result<PhysicalPlan> PlanRangeInnerJoin(const Catalog& catalog,
     why << "outer has " << (*outer)->num_points() << " points >= cutoff "
         << options.counting_outer_cutoff << ": Block-Marking";
   }
-  return PlanBuilder::Build(
-      algorithm, *outer, *inner, nullptr, Point{}, Point{}, spec.join_k, 0,
-      /*swapped=*/false, options.preprocess_mode, /*cache=*/false,
+  return PhysicalPlan(
+      algorithm,
+      RangeSelectInnerJoinQuery{.outer = *outer,
+                                .inner = *inner,
+                                .join_k = spec.join_k,
+                                .range = spec.range},
       knnql::Unparse(spec), why.str(),
-      RuleRationale(Rewrite::kPushSelectBelowInnerJoinInput), spec.range);
+      RuleRationale(Rewrite::kPushSelectBelowInnerJoinInput));
 }
 
 }  // namespace

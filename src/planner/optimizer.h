@@ -22,7 +22,6 @@
 #define KNNQ_SRC_PLANNER_OPTIMIZER_H_
 
 #include "src/common/status.h"
-#include "src/core/select_inner_join.h"
 #include "src/planner/catalog.h"
 #include "src/planner/physical_plan.h"
 #include "src/planner/query_spec.h"
@@ -40,12 +39,6 @@ struct PlannerOptions {
   /// data is effectively uniform and preprocessing would not pay off;
   /// evaluate independently (Section 4.1.2, third bullet).
   double uniform_coverage_cutoff = 0.55;
-
-  /// Block-Marking preprocessing flavor.
-  PreprocessMode preprocess_mode = PreprocessMode::kContour;
-
-  /// Chained joins: memoize b-neighborhoods (Section 4.2.1).
-  bool cache_chained = true;
 
   /// Force the conceptually correct QEP regardless of statistics - the
   /// baseline every experiment compares against.

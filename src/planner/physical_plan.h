@@ -1,27 +1,28 @@
 // PhysicalPlan: a fully bound, executable evaluation strategy produced
-// by Optimize(). Carries the chosen algorithm, the bound relations and
-// the decision rationale (for EXPLAIN). Execution is delegated to the
-// engine layer: Execute() looks the algorithm up in the process-wide
-// ExecutorRegistry (src/engine/executor.h), so adding an algorithm
-// means registering an executor, not editing a switch here.
+// by Optimize(). Carries the chosen algorithm, the src/core query its
+// evaluator takes and the decision rationale (for EXPLAIN). Execute()
+// calls that evaluator through one switch over the algorithm.
 
 #ifndef KNNQ_SRC_PLANNER_PHYSICAL_PLAN_H_
 #define KNNQ_SRC_PLANNER_PHYSICAL_PLAN_H_
 
 #include <string>
+#include <utility>
 #include <variant>
 
 #include "src/common/status.h"
+#include "src/core/chained_joins.h"
 #include "src/core/exec_stats.h"
+#include "src/core/range_select_inner_join.h"
 #include "src/core/result_types.h"
 #include "src/core/select_inner_join.h"
+#include "src/core/select_outer_join.h"
 #include "src/core/two_selects.h"
-#include "src/index/spatial_index.h"
+#include "src/core/unchained_joins.h"
 
 namespace knnq {
 
-class ExecutorRegistry;    // src/engine/executor.h
-class NeighborhoodCache;   // src/engine/neighborhood_cache.h
+class NeighborhoodCache;  // src/engine/neighborhood_cache.h
 
 /// Every executable strategy the optimizer can pick.
 enum class Algorithm {
@@ -34,7 +35,6 @@ enum class Algorithm {
   kSelectOuterJoinLate,
   kUnchainedNaive,
   kUnchainedBlockMarking,
-  kChainedRightDeep,
   kChainedJoinIntersection,
   kChainedNestedJoin,
   kRangeInnerJoinNaive,
@@ -42,85 +42,60 @@ enum class Algorithm {
   kRangeInnerJoinBlockMarking,
 };
 
-/// Short stable name, e.g. "Counting" or "NestedJoin(cached)".
+/// Short stable name, e.g. "Counting" or "ChainedJoins(nested)".
 const char* ToString(Algorithm algorithm);
 
 /// The result of any supported query shape.
 using QueryOutput =
     std::variant<TwoSelectsResult, JoinResult, TripletResult>;
 
-/// An executable plan. Create via Optimize() in optimizer.h.
-///
-/// The bound state is exposed read-only so engine executors can run the
-/// plan without befriending it; plans are immutable once built.
+/// The bound query of one of the six shapes, as its evaluators take it.
+using PlanQuery =
+    std::variant<TwoSelectsQuery, SelectInnerJoinQuery, SelectOuterJoinQuery,
+                 UnchainedJoinsQuery, ChainedJoinsQuery,
+                 RangeSelectInnerJoinQuery>;
+
+/// An executable plan. Create via Optimize() in optimizer.h, which
+/// pairs each algorithm with the query type its evaluator takes.
+/// Plans are immutable once built.
 class PhysicalPlan {
  public:
+  /// `swapped` (unchained joins only): `query` holds A and C, and their
+  /// k's, exchanged so the clustered side drives the first join;
+  /// Execute() swaps the triplets back into spec order.
+  PhysicalPlan(Algorithm algorithm, PlanQuery query, std::string query_text,
+               std::string rationale, std::string rule_note,
+               bool swapped = false)
+      : algorithm_(algorithm),
+        query_(std::move(query)),
+        swapped_(swapped),
+        query_text_(std::move(query_text)),
+        rationale_(std::move(rationale)),
+        rule_note_(std::move(rule_note)) {}
+
   Algorithm algorithm() const { return algorithm_; }
 
   /// Why the optimizer picked this strategy.
   const std::string& rationale() const { return rationale_; }
 
   /// Multi-line EXPLAIN rendering: query shape, chosen algorithm,
-  /// bound relations, rationale, and the legality rule that constrains
-  /// the shape. With `stats` given (from a prior Execute), a final
-  /// "Stats:" line reports the uniform execution counters.
+  /// rationale, and the legality rule that constrains the shape. With
+  /// `stats` given (from a prior Execute), a final "Stats:" line
+  /// reports the uniform execution counters.
   std::string Explain(const ExecStats* stats = nullptr) const;
 
-  /// Runs the plan through ExecutorRegistry::Default(). Safe to call
-  /// repeatedly and from several threads at once; plans are immutable.
-  /// `stats` (optional) is overwritten with the execution's counters
-  /// and wall time.
-  Result<QueryOutput> Execute(ExecStats* stats = nullptr) const;
-
-  /// Runs the plan through a caller-supplied registry - the extension
-  /// point for engines that register their own executors. Fails with
-  /// Internal when the registry has no executor for this algorithm.
+  /// Runs the plan's evaluator. Safe to call repeatedly and from
+  /// several threads at once; plans are immutable. `stats` (optional)
+  /// is overwritten with the execution's counters and wall time.
   /// `cache` (optional) is a shared cross-query neighborhood memo
-  /// (src/engine/neighborhood_cache.h) forwarded to the executor.
-  Result<QueryOutput> Execute(const ExecutorRegistry& registry,
-                              ExecStats* stats = nullptr,
+  /// (src/engine/neighborhood_cache.h) forwarded to the evaluator.
+  Result<QueryOutput> Execute(ExecStats* stats = nullptr,
                               NeighborhoodCache* cache = nullptr) const;
 
-  // --- Bound inputs, read by the engine's executors. ---
-  // Which fields are meaningful depends on the algorithm.
-
-  /// E / E1 / A.
-  const SpatialIndex* r1() const { return r1_; }
-  /// E2 / B.
-  const SpatialIndex* r2() const { return r2_; }
-  /// C.
-  const SpatialIndex* r3() const { return r3_; }
-  const Point& f1() const { return f1_; }
-  const Point& f2() const { return f2_; }
-  std::size_t k1() const { return k1_; }
-  std::size_t k2() const { return k2_; }
-  /// Range-inner-join only: the selection rectangle.
-  const BoundingBox& range() const { return range_; }
-  /// Unchained only: relations were swapped so the clustered side
-  /// drives the first join; the executor swaps triplet roles back.
-  bool swapped() const { return swapped_; }
-  /// Block-Marking preprocessing flavor.
-  PreprocessMode preprocess() const { return preprocess_; }
-  /// Chained nested join: memoize b-neighborhoods.
-  bool cache() const { return cache_; }
-
  private:
-  friend class PlanBuilder;
-
-  Algorithm algorithm_ = Algorithm::kTwoSelectsNaive;
-
-  const SpatialIndex* r1_ = nullptr;
-  const SpatialIndex* r2_ = nullptr;
-  const SpatialIndex* r3_ = nullptr;
-  Point f1_;
-  Point f2_;
-  std::size_t k1_ = 0;
-  std::size_t k2_ = 0;
-  BoundingBox range_;
-
-  bool swapped_ = false;
-  PreprocessMode preprocess_ = PreprocessMode::kContour;
-  bool cache_ = true;
+  Algorithm algorithm_;
+  PlanQuery query_;
+  bool swapped_;
 
   std::string query_text_;
   std::string rationale_;

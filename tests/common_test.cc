@@ -390,13 +390,13 @@ TEST(TextParseTest, FieldDiagnosticsNameTheOffendingPosition) {
             std::string::npos)
       << bad_field.status().ToString();
 
-  const auto short_box = ParseBoxText("1,2,3");
-  ASSERT_FALSE(short_box.ok());
-  EXPECT_NE(short_box.status().message().find("got 3 fields, expected 4"),
+  const auto long_point = ParsePointText("1,2,3");
+  ASSERT_FALSE(long_point.ok());
+  EXPECT_NE(long_point.status().message().find("got 3 fields, expected 2"),
             std::string::npos)
-      << short_box.status().ToString();
+      << long_point.status().ToString();
 
-  const auto trailing = ParseBoxText("1,2,3,4,");
+  const auto trailing = ParsePointText("1,2,");
   ASSERT_FALSE(trailing.ok());
   EXPECT_NE(trailing.status().message().find("trailing comma"),
             std::string::npos)

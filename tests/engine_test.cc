@@ -1,7 +1,6 @@
-// Engine-layer tests: executor registry completeness, QueryEngine
-// batch-vs-serial equivalence over every query shape, per-query error
-// isolation, and the guarantee that every src/core evaluator reports
-// non-zero ExecStats.
+// Engine-layer tests: QueryEngine batch-vs-serial equivalence over
+// every query shape, per-query error isolation, and the guarantee that
+// every src/core evaluator reports non-zero ExecStats.
 
 #include <cstddef>
 #include <string>
@@ -11,13 +10,11 @@
 #include "src/core/chained_joins.h"
 #include "src/core/knn_join.h"
 #include "src/core/knn_select.h"
-#include "src/core/multi_chained_joins.h"
 #include "src/core/range_select_inner_join.h"
 #include "src/core/select_inner_join.h"
 #include "src/core/select_outer_join.h"
 #include "src/core/two_selects.h"
 #include "src/core/unchained_joins.h"
-#include "src/engine/executor.h"
 #include "src/engine/query_engine.h"
 #include "tests/test_util.h"
 
@@ -28,24 +25,6 @@ using testing::MakeCity;
 using testing::MakeClustered;
 using testing::MakeIndex;
 using testing::MakeUniform;
-
-constexpr Algorithm kAllAlgorithms[] = {
-    Algorithm::kTwoSelectsNaive,
-    Algorithm::kTwoSelectsOptimized,
-    Algorithm::kSelectInnerJoinNaive,
-    Algorithm::kSelectInnerJoinCounting,
-    Algorithm::kSelectInnerJoinBlockMarking,
-    Algorithm::kSelectOuterJoinPushed,
-    Algorithm::kSelectOuterJoinLate,
-    Algorithm::kUnchainedNaive,
-    Algorithm::kUnchainedBlockMarking,
-    Algorithm::kChainedRightDeep,
-    Algorithm::kChainedJoinIntersection,
-    Algorithm::kChainedNestedJoin,
-    Algorithm::kRangeInnerJoinNaive,
-    Algorithm::kRangeInnerJoinCounting,
-    Algorithm::kRangeInnerJoinBlockMarking,
-};
 
 Catalog MakeCatalog() {
   Catalog catalog;
@@ -136,60 +115,6 @@ void ExpectBatchMatchesSerial(const QueryEngine& engine,
     EXPECT_FALSE(batch[i].stats.empty())
         << "query " << i << " reported no execution counters";
   }
-}
-
-TEST(ExecutorRegistryTest, DefaultCoversEveryAlgorithm) {
-  const ExecutorRegistry& registry = ExecutorRegistry::Default();
-  EXPECT_EQ(registry.size(), std::size(kAllAlgorithms));
-  for (const Algorithm algorithm : kAllAlgorithms) {
-    const Executor* executor = registry.Find(algorithm);
-    ASSERT_NE(executor, nullptr) << ToString(algorithm);
-    EXPECT_NE(std::string(executor->name()), "");
-  }
-}
-
-TEST(ExecutorRegistryTest, RejectsDuplicatesAndNull) {
-  ExecutorRegistry registry;
-  RegisterDefaultExecutors(registry);
-  EXPECT_FALSE(registry.Register(Algorithm::kTwoSelectsNaive, nullptr).ok());
-  // Re-registering the full default set must fail on the first key.
-  ExecutorRegistry fresh;
-  RegisterDefaultExecutors(fresh);
-  EXPECT_EQ(fresh.size(), std::size(kAllAlgorithms));
-}
-
-TEST(ExecutorRegistryTest, PlanExecutesThroughCustomRegistry) {
-  ExecutorRegistry registry;
-  RegisterDefaultExecutors(registry);
-  const Catalog catalog = MakeCatalog();
-  const auto plan = Optimize(catalog, TwoSelectsSpec{
-      .relation = "city",
-      .s1 = {.focal = {.id = -1, .x = 500, .y = 400}, .k = 4},
-      .s2 = {.focal = {.id = -1, .x = 520, .y = 410}, .k = 8},
-  });
-  ASSERT_TRUE(plan.ok());
-
-  ExecStats stats;
-  const auto output = plan->Execute(registry, &stats);
-  ASSERT_TRUE(output.ok());
-  EXPECT_FALSE(stats.empty());
-
-  // An empty registry has no executor for the plan's algorithm.
-  const ExecutorRegistry empty;
-  const auto missing = plan->Execute(empty);
-  EXPECT_EQ(missing.status().code(), StatusCode::kInternal);
-
-  // An engine dispatches through a caller-supplied registry too.
-  EngineOptions options = WithThreads(1);
-  options.registry = &registry;
-  QueryEngine engine(MakeCatalog(), options);
-  EXPECT_TRUE(engine
-                  .Run(TwoSelectsSpec{
-                      .relation = "city",
-                      .s1 = {.focal = {.id = -1, .x = 100, .y = 100}, .k = 3},
-                      .s2 = {.focal = {.id = -1, .x = 120, .y = 90}, .k = 5},
-                  })
-                  .ok());
 }
 
 TEST(QueryEngineTest, BatchMatchesSerialOverAllShapes) {
@@ -367,18 +292,13 @@ TEST_F(EvaluatorStatsTest, ChainedJoinsFamilyReportsStats) {
 }
 
 TEST_F(EvaluatorStatsTest, BaseOperationsReportStats) {
-  ExecStats select_stats, join_stats, chain_stats;
+  ExecStats select_stats, join_stats;
   ASSERT_TRUE(KnnSelect(*outer_, {.id = -1, .x = 100, .y = 100}, 5,
                         &select_stats)
                   .ok());
   ASSERT_TRUE(KnnJoin(third_points_, *inner_, 2, &join_stats).ok());
-  const ChainQuery chain{
-      .relations = {third_.get(), inner_.get(), outer_.get()},
-      .ks = {2, 2}};
-  ASSERT_TRUE(ChainedPathJoin(chain, true, nullptr, &chain_stats).ok());
   EXPECT_FALSE(select_stats.empty());
   EXPECT_FALSE(join_stats.empty());
-  EXPECT_FALSE(chain_stats.empty());
 }
 
 }  // namespace

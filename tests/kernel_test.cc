@@ -439,14 +439,15 @@ TEST(AllocationTest, WarmRestartedScanAllocatesNothing) {
   }
 }
 
-TEST(AllocationTest, CountingProbeLoopAllocatesLessThanOncePerOuterPoint) {
+TEST(AllocationTest, CountingProbeLoopAllocatesLessThanOncePerOuterBlock) {
   // Counting scans the inner relation once per outer block, and once
   // per outer point in the blocks that scan cannot settle (DESIGN.md
   // note 6); with the focal point in a corner most outer points are
-  // pruned. The loop holds one scan for all of those scans. Most blocks
-  // settle here, so a loop that allocated per scan could stay under
-  // this bound as well; WarmRestartedScanAllocatesNothing holds a warm
-  // restart to zero allocations.
+  // pruned. The loop holds one scan for all of those scans, so it
+  // allocates less than once per outer block: a loop that opened a
+  // fresh scan per block would reach the bound by itself.
+  // WarmRestartedScanAllocatesNothing holds a warm restart to zero
+  // allocations.
   const PointSet outer = MakeUniform(5000, 59);
   const PointSet inner = MakeUniform(5000, 61, /*first_id=*/100000);
   for (const IndexType type : AllIndexTypes()) {
@@ -463,7 +464,7 @@ TEST(AllocationTest, CountingProbeLoopAllocatesLessThanOncePerOuterPoint) {
     const std::uint64_t allocations = g_allocations.load() - before;
     ASSERT_TRUE(pairs.ok());
     EXPECT_GT(stats.pruned_points, outer.size() / 2) << ToString(type);
-    EXPECT_LT(allocations, outer.size()) << ToString(type);
+    EXPECT_LT(allocations, outer_index->num_blocks()) << ToString(type);
   }
 }
 

@@ -2,6 +2,9 @@
 // decisions, plan execution equivalence with direct core calls, and
 // EXPLAIN output.
 
+#include <optional>
+#include <utility>
+
 #include "gtest/gtest.h"
 #include "src/core/select_outer_join.h"
 #include "src/planner/catalog.h"
@@ -286,6 +289,124 @@ TEST_F(PlannerTest, ExplainDescribesTheDecision) {
   EXPECT_NE(explain.find("Rule:"), std::string::npos);
   EXPECT_NE(explain.find("invalid"), std::string::npos)
       << "the inner-select rule must be cited:\n" << explain;
+}
+
+/// A spec and options under which Optimize picks `algorithm`, or
+/// nullopt past the last enumerator. The switch has no default, so
+/// with -Werror=switch a new Algorithm does not build until it has a
+/// case here, and the test below then checks that a plan reaches it.
+std::optional<std::pair<QuerySpec, PlannerOptions>> PlanFor(
+    Algorithm algorithm) {
+  PlannerOptions naive;
+  naive.force_naive = true;
+  PlannerOptions counting;
+  counting.counting_outer_cutoff = 1000000;
+  PlannerOptions block_marking;
+  block_marking.counting_outer_cutoff = 100;  // uniform has 2000 points.
+  const QuerySpec two_selects = TwoSelectsSpec{
+      .relation = "city",
+      .s1 = {.focal = {.id = -1, .x = 500, .y = 400}, .k = 10},
+      .s2 = {.focal = {.id = -1, .x = 520, .y = 410}, .k = 100}};
+  const QuerySpec select_inner = SelectInnerJoinSpec{
+      .outer = "uniform",
+      .inner = "city",
+      .join_k = 3,
+      .select = {.focal = {.id = -1, .x = 400, .y = 300}, .k = 6}};
+  const QuerySpec select_outer = SelectOuterJoinSpec{
+      .outer = "city",
+      .inner = "uniform",
+      .join_k = 2,
+      .select = {.focal = {.id = -1, .x = 600, .y = 350}, .k = 12}};
+  // Both outer relations near-uniform: independent joins.
+  const QuerySpec unchained_uniform = UnchainedJoinsSpec{
+      .a = "uniform", .b = "city", .c = "uniform2", .k_ab = 2, .k_cb = 2};
+  const QuerySpec unchained_clustered = UnchainedJoinsSpec{
+      .a = "uniform", .b = "city", .c = "clustered", .k_ab = 2, .k_cb = 2};
+  const QuerySpec chained = ChainedJoinsSpec{
+      .a = "clustered", .b = "city", .c = "uniform", .k_ab = 2, .k_bc = 3};
+  const QuerySpec range_inner =
+      RangeInnerJoinSpec{.outer = "uniform",
+                         .inner = "city",
+                         .join_k = 3,
+                         .range = BoundingBox(300, 250, 600, 500)};
+  switch (algorithm) {
+    case Algorithm::kTwoSelectsNaive:
+      return std::pair(two_selects, naive);
+    case Algorithm::kTwoSelectsOptimized:
+      return std::pair(two_selects, PlannerOptions{});
+    case Algorithm::kSelectInnerJoinNaive:
+      return std::pair(select_inner, naive);
+    case Algorithm::kSelectInnerJoinCounting:
+      return std::pair(select_inner, counting);
+    case Algorithm::kSelectInnerJoinBlockMarking:
+      return std::pair(select_inner, block_marking);
+    case Algorithm::kSelectOuterJoinPushed:
+      return std::pair(select_outer, PlannerOptions{});
+    case Algorithm::kSelectOuterJoinLate:
+      return std::pair(select_outer, naive);
+    case Algorithm::kUnchainedNaive:
+      return std::pair(unchained_uniform, PlannerOptions{});
+    case Algorithm::kUnchainedBlockMarking:
+      return std::pair(unchained_clustered, PlannerOptions{});
+    case Algorithm::kChainedJoinIntersection:
+      return std::pair(chained, naive);
+    case Algorithm::kChainedNestedJoin:
+      return std::pair(chained, PlannerOptions{});
+    case Algorithm::kRangeInnerJoinNaive:
+      return std::pair(range_inner, naive);
+    case Algorithm::kRangeInnerJoinCounting:
+      return std::pair(range_inner, counting);
+    case Algorithm::kRangeInnerJoinBlockMarking:
+      return std::pair(range_inner, block_marking);
+  }
+  return std::nullopt;
+}
+
+TEST_F(PlannerTest, EveryAlgorithmHasAPlanAndAnEvaluator) {
+  PlannerOptions naive;
+  naive.force_naive = true;
+  std::size_t algorithms = 0;
+  for (int value = 0;; ++value) {
+    const auto algorithm = static_cast<Algorithm>(value);
+    const auto planned = PlanFor(algorithm);
+    if (!planned.has_value()) break;
+    ++algorithms;
+    SCOPED_TRACE(ToString(algorithm));
+    const auto& [spec, options] = *planned;
+    const auto plan = Optimize(catalog_, spec, options);
+    const auto baseline = Optimize(catalog_, spec, naive);
+    ASSERT_TRUE(plan.ok());
+    ASSERT_TRUE(baseline.ok());
+    EXPECT_EQ(plan->algorithm(), algorithm);
+
+    const auto rows = plan->Execute();
+    const auto expected = baseline->Execute();
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_TRUE(expected.ok());
+    EXPECT_TRUE(*rows == *expected);
+    EXPECT_FALSE(std::visit([](const auto& r) { return r.empty(); }, *rows))
+        << "an empty answer would make the comparison vacuous";
+  }
+  EXPECT_EQ(algorithms, 14u);
+}
+
+TEST_F(PlannerTest, ExplainTagsTheContourOnlyWhereItRuns) {
+  // Select-inner and range-inner Block-Marking run the contour rule;
+  // the unchained C-block test probes every block and takes no mode.
+  for (const auto& [algorithm, plan_line] :
+       {std::pair(Algorithm::kSelectInnerJoinBlockMarking,
+                  "Plan:  Block-Marking [contour]"),
+        std::pair(Algorithm::kRangeInnerJoinBlockMarking,
+                  "Plan:  RangeInnerJoin(Block-Marking) [contour]"),
+        std::pair(Algorithm::kUnchainedBlockMarking,
+                  "Plan:  UnchainedJoins(Block-Marking) [joins reordered]")}) {
+    const auto [spec, options] = PlanFor(algorithm).value();
+    const auto plan = Optimize(catalog_, spec, options);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_NE(plan->Explain().find("\n" + std::string(plan_line) + "\n"),
+              std::string::npos)
+        << plan->Explain();
+  }
 }
 
 // Figure 3's equivalence, directly on the core operators.

@@ -1,5 +1,6 @@
 // knnq command-line tool: generate datasets, inspect indexes, and run
-// two-kNN-predicate queries through the planner with EXPLAIN output.
+// KNNQL statements through the planner with EXPLAIN output, locally or
+// as a network server.
 //
 // Usage:
 //   knnq_cli generate --kind berlin|uniform|clusters --n N [--clusters C]
@@ -19,34 +20,29 @@
 //            [--snapshot-interval-ops N]
 //            [--http-port P] [--http-host H] [--history-interval-ms T]
 //            [--drain-linger-ms T]
-//   knnq_cli two-selects --data FILE --f1 X,Y --k1 K --f2 X,Y --k2 K
-//            [--naive]
-//   knnq_cli select-inner-join --outer FILE --inner FILE --join-k K
-//            --focal X,Y --select-k K [--naive]
-//   knnq_cli range-inner-join --outer FILE --inner FILE --join-k K
-//            --range X1,Y1,X2,Y2 [--naive]
-//   knnq_cli chained --a FILE --b FILE --c FILE --k-ab K --k-bc K [--naive]
-//   knnq_cli unchained --a FILE --b FILE --c FILE --k-ab K --k-cb K
-//            [--naive]
+//
+// Each command refuses any flag it does not read ("unknown flag --shard
+// for query"), so a misspelled configuration fails instead of running
+// the default one. --no-simd is accepted by every command.
 //
 // `query` is the declarative front door: statements in KNNQL (see
 // README "KNNQL"), from -e, a script file, or an interactive REPL when
-// neither is given. An EXPLAIN prefix plans a statement without
-// executing it; EXPLAIN ANALYZE executes it and reports the traced
-// span tree; --json emits one JSON object per statement for scripted
-// consumers. DML statements (INSERT INTO / DELETE FROM /
-// LOAD ... FROM 'file') mutate relations in place and may interleave
-// with queries in the same script or session.
+// neither is given. Every query shape runs through it. An EXPLAIN
+// prefix plans a statement without executing it; EXPLAIN ANALYZE
+// executes it and reports the traced span tree; --json emits one JSON
+// object per statement for scripted consumers. DML statements (INSERT
+// INTO / DELETE FROM / LOAD ... FROM 'file') mutate relations in place
+// and may interleave with queries in the same script or session.
 //
-// Every query command accepts --cache-mb M to give the engine an M-MiB
+// `query` and `serve` accept --cache-mb M to give the engine an M-MiB
 // cross-query neighborhood cache (0, the default, disables it), and
-// --no-simd to disable the AVX2 distance kernel (results are
-// byte-identical either way; the flag exists for speed A/B runs).
-// `query` and `serve` accept --shards N (default 1) to partition every
-// relation into N spatial shards: kNN runs scatter-gather with
-// distance-bound shard pruning (`shards_pruned` in stats output) and
-// DML commits copy-on-write without blocking readers. Results are
-// byte-identical to --shards 1.
+// every command accepts --no-simd to disable the AVX2 distance kernel
+// (results are byte-identical either way; the flag exists for speed
+// A/B runs). `query` and `serve` accept --shards N (default 1) to
+// partition every relation into N spatial shards: kNN runs
+// scatter-gather with distance-bound shard pruning (`shards_pruned` in
+// stats output) and DML commits copy-on-write without blocking
+// readers. Results are byte-identical to --shards 1.
 //
 // `serve --http-port P` adds the HTTP observability plane: GET
 // /metrics (Prometheus exposition, byte-identical to the METRICS;
@@ -71,6 +67,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -106,12 +103,20 @@ using namespace knnq;
 /// "-e" is accepted as the conventional short form for query text.
 class Args {
  public:
-  static Result<Args> Parse(int argc, char** argv, int first) {
+  /// Parses argv[first..] for `command`, refusing any flag outside
+  /// `known` except --no-simd, which every command takes.
+  static Result<Args> Parse(int argc, char** argv, int first,
+                            const std::string& command,
+                            const std::set<std::string_view>& known) {
     Args args;
     for (int i = first; i < argc; ++i) {
       const std::string flag = argv[i];
       if (flag.rfind("--", 0) != 0 && flag != "-e") {
         return Status::InvalidArgument("expected --flag, got: " + flag);
+      }
+      if (flag != "--no-simd" && !known.contains(flag)) {
+        return Status::InvalidArgument("unknown flag " + flag + " for " +
+                                       command);
       }
       if (flag == "--naive" || flag == "--json" ||
           flag == "--allow-remote-shutdown" || flag == "--no-simd") {
@@ -180,16 +185,6 @@ class Args {
                                      point.status().message());
     }
     return point;
-  }
-
-  Result<BoundingBox> GetBox(const std::string& flag) const {
-    auto raw = Get(flag);
-    if (!raw.ok()) return raw.status();
-    auto box = ParseBoxText(*raw);
-    if (!box.ok()) {
-      return Status::InvalidArgument(flag + " " + box.status().message());
-    }
-    return box;
   }
 
  private:
@@ -931,167 +926,44 @@ int CmdServe(const Args& args) {
   return 0;
 }
 
-// ------------------------------------------------- per-shape commands
-
-/// Hands the catalog to a QueryEngine, runs `spec`, prints EXPLAIN
-/// (including the ExecStats line) and the result. --cache-mb sizes the
-/// engine's cross-query neighborhood cache (0 = off; one ad-hoc query
-/// still benefits when its evaluator probes repeated points) and
-/// --naive forces the conceptually correct plan.
-int PlanAndRun(const Args& args, Catalog catalog, const QuerySpec& spec) {
-  auto cache_mb = GetCacheMb(args);
-  if (!cache_mb.ok()) return Fail(cache_mb.status());
-  EngineOptions options;
-  options.num_threads = 1;  // One ad-hoc query; no fan-out needed.
-  options.cache_mb = *cache_mb;
-  options.planner.force_naive = args.Has("--naive");
-  const QueryEngine engine(std::move(catalog), options);
-
-  const EngineResult run = engine.Run(spec);
-  if (!run.ok()) return Fail(run.status);
-  PrintHumanResult(run);
-  return 0;
-}
-
-int AddRelationFromFlag(Catalog& catalog, const Args& args,
-                        const std::string& flag, const std::string& name) {
-  auto path = args.Get(flag);
-  if (!path.ok()) return Fail(path.status());
-  auto points = LoadPoints(*path);
-  if (!points.ok()) return Fail(points.status());
-  const Status added =
-      catalog.AddRelation(name, std::move(points.value()));
-  if (!added.ok()) return Fail(added);
-  return 0;
-}
-
-int CmdTwoSelects(const Args& args) {
-  Catalog catalog;
-  if (int rc = AddRelationFromFlag(catalog, args, "--data", "E"); rc != 0) {
-    return rc;
-  }
-  auto f1 = args.GetPoint("--f1");
-  auto f2 = args.GetPoint("--f2");
-  auto k1 = args.GetSize("--k1");
-  auto k2 = args.GetSize("--k2");
-  for (const Status& s :
-       {f1.status(), f2.status(), k1.status(), k2.status()}) {
-    if (!s.ok() && s.code() != StatusCode::kOk) return Fail(s);
-  }
-  if (!f1.ok() || !f2.ok() || !k1.ok() || !k2.ok()) return 1;
-  return PlanAndRun(args, std::move(catalog),
-                    TwoSelectsSpec{.relation = "E",
-                                   .s1 = {.focal = *f1, .k = *k1},
-                                   .s2 = {.focal = *f2, .k = *k2}});
-}
-
-int CmdSelectInnerJoin(const Args& args) {
-  Catalog catalog;
-  if (int rc = AddRelationFromFlag(catalog, args, "--outer", "E1");
-      rc != 0) {
-    return rc;
-  }
-  if (int rc = AddRelationFromFlag(catalog, args, "--inner", "E2");
-      rc != 0) {
-    return rc;
-  }
-  auto join_k = args.GetSize("--join-k");
-  auto focal = args.GetPoint("--focal");
-  auto select_k = args.GetSize("--select-k");
-  if (!join_k.ok()) return Fail(join_k.status());
-  if (!focal.ok()) return Fail(focal.status());
-  if (!select_k.ok()) return Fail(select_k.status());
-  return PlanAndRun(
-      args, std::move(catalog),
-      SelectInnerJoinSpec{.outer = "E1",
-                          .inner = "E2",
-                          .join_k = *join_k,
-                          .select = {.focal = *focal, .k = *select_k}});
-}
-
-int CmdRangeInnerJoin(const Args& args) {
-  Catalog catalog;
-  if (int rc = AddRelationFromFlag(catalog, args, "--outer", "E1");
-      rc != 0) {
-    return rc;
-  }
-  if (int rc = AddRelationFromFlag(catalog, args, "--inner", "E2");
-      rc != 0) {
-    return rc;
-  }
-  auto join_k = args.GetSize("--join-k");
-  auto range = args.GetBox("--range");
-  if (!join_k.ok()) return Fail(join_k.status());
-  if (!range.ok()) return Fail(range.status());
-  return PlanAndRun(args, std::move(catalog),
-                    RangeInnerJoinSpec{.outer = "E1",
-                                       .inner = "E2",
-                                       .join_k = *join_k,
-                                       .range = *range});
-}
-
-int CmdThreeRelations(const Args& args, bool chained) {
-  Catalog catalog;
-  for (const auto& [flag, name] :
-       std::vector<std::pair<std::string, std::string>>{
-           {"--a", "A"}, {"--b", "B"}, {"--c", "C"}}) {
-    if (int rc = AddRelationFromFlag(catalog, args, flag, name); rc != 0) {
-      return rc;
-    }
-  }
-  auto k1 = args.GetSize("--k-ab");
-  if (!k1.ok()) return Fail(k1.status());
-  if (chained) {
-    auto k2 = args.GetSize("--k-bc");
-    if (!k2.ok()) return Fail(k2.status());
-    return PlanAndRun(args, std::move(catalog),
-                      ChainedJoinsSpec{.a = "A",
-                                       .b = "B",
-                                       .c = "C",
-                                       .k_ab = *k1,
-                                       .k_bc = *k2});
-  }
-  auto k2 = args.GetSize("--k-cb");
-  if (!k2.ok()) return Fail(k2.status());
-  return PlanAndRun(args, std::move(catalog),
-                    UnchainedJoinsSpec{.a = "A",
-                                       .b = "B",
-                                       .c = "C",
-                                       .k_ab = *k1,
-                                       .k_cb = *k2});
-}
-
 void PrintUsage() {
   std::puts(
       "knnq_cli <command> [flags]\n"
       "commands:\n"
-      "  generate           --kind berlin|uniform|clusters --n N --out F\n"
-      "  info               --data F [--index grid|quadtree|rtree]\n"
-      "  knn                --data F --at X,Y --k K\n"
-      "  query              --data NAME=F [--data NAME=F ...]\n"
-      "                     [-e \"KNNQL\"] [--file SCRIPT.knnql] [--json]\n"
-      "                     [--slow-query-ms MS] [--trace-sample-every N]\n"
-      "                     [--log-file F] [--log-level L]\n"
-      "  serve              --data NAME=F [--data NAME=F ...]\n"
-      "                     [--host H] [--port P] [--threads T]\n"
-      "                     [--max-inflight M] [--max-conn-inflight M]\n"
-      "                     [--max-request-bytes B] [--idle-timeout-ms T]\n"
-      "                     [--max-connections C] [--write-timeout-ms T]\n"
-      "                     [--shutdown-grace-ms T] [--load-dir DIR]\n"
-      "                     [--allow-remote-shutdown]\n"
-      "                     [--data-dir DIR] [--wal-sync always|interval|none]\n"
-      "                     [--wal-sync-interval-ops N]\n"
-      "                     [--snapshot-interval-ops N]\n"
-      "                     [--cache-mb M] [--index TYPE]\n"
-      "                     [--slow-query-ms MS] [--trace-sample-every N]\n"
-      "                     [--log-file F] [--log-level L]\n"
-      "  two-selects        --data F --f1 X,Y --k1 K --f2 X,Y --k2 K\n"
-      "  select-inner-join  --outer F --inner F --join-k K --focal X,Y\n"
-      "                     --select-k K\n"
-      "  range-inner-join   --outer F --inner F --join-k K\n"
-      "                     --range X1,Y1,X2,Y2\n"
-      "  chained            --a F --b F --c F --k-ab K --k-bc K\n"
-      "  unchained          --a F --b F --c F --k-ab K --k-cb K\n"
+      "  generate  --kind berlin|uniform|clusters --n N --out F\n"
+      "            [--clusters C] [--per P] [--seed S]\n"
+      "  info      --data F [--index grid|quadtree|rtree]\n"
+      "  knn       --data F --at X,Y --k K [--index TYPE]\n"
+      "  query     --data NAME=F [--data NAME=F ...]\n"
+      "            [-e \"KNNQL\"] [--file SCRIPT.knnql] [--json] [--naive]\n"
+      "            [--index TYPE] [--shards N]\n"
+      "            [--shard-policy bisection|grid] [--cache-mb M]\n"
+      "            [--slow-query-ms MS] [--trace-sample-every N]\n"
+      "            [--log-file F] [--log-level L]\n"
+      "  serve     --data NAME=F [--data NAME=F ...]\n"
+      "            [--host H] [--port P] [--threads T] [--naive]\n"
+      "            [--max-inflight M] [--max-conn-inflight M]\n"
+      "            [--max-request-bytes B] [--idle-timeout-ms T]\n"
+      "            [--max-connections C] [--write-timeout-ms T]\n"
+      "            [--shutdown-grace-ms T] [--load-dir DIR]\n"
+      "            [--allow-remote-shutdown]\n"
+      "            [--data-dir DIR] [--wal-sync always|interval|none]\n"
+      "            [--wal-sync-interval-ops N]\n"
+      "            [--snapshot-interval-ops N]\n"
+      "            [--cache-mb M] [--index TYPE] [--shards N]\n"
+      "            [--shard-policy bisection|grid]\n"
+      "            [--http-port P] [--http-host H]\n"
+      "            [--history-interval-ms T] [--drain-linger-ms T]\n"
+      "            [--slow-query-ms MS] [--trace-sample-every N]\n"
+      "            [--log-file F] [--log-level L]\n"
+      "every command also takes --no-simd, which disables the AVX2\n"
+      "distance kernel (pure speed A/B: results are byte-identical\n"
+      "either way), and refuses any flag it does not read.\n"
+      "query reads KNNQL statements (-e, --file, or a REPL; see README),\n"
+      "any of the six query shapes plus DML: INSERT INTO r VALUES\n"
+      "(x, y), ...; DELETE FROM r WHERE ID = n; LOAD r FROM 'file';\n"
+      "EXPLAIN <query>; shows the plan and EXPLAIN ANALYZE <query>;\n"
+      "executes it and shows the span tree.\n"
       "serve runs the KNNQL network server (newline-delimited KNNQL in,\n"
       "JSONL out; see README \"Serving KNNQL\"); drive it with\n"
       "knnq_loadgen or any line-oriented TCP client. The SHUTDOWN verb\n"
@@ -1102,20 +974,54 @@ void PrintUsage() {
       "SNAPSHOT verb / --snapshot-interval-ops N cut point-in-time\n"
       "snapshots to DIR/catalog.snapshot, and a restart recovers the\n"
       "catalog from snapshot + WAL replay (see README \"Durability\").\n"
-      "query reads KNNQL statements (-e, --file, or a REPL; see README),\n"
-      "including DML: INSERT INTO r VALUES (x, y), ...; DELETE FROM r\n"
-      "WHERE ID = n; LOAD r FROM 'file';\n"
-      "append --naive to run the conceptually correct baseline plan;\n"
-      "append --cache-mb M to any query command to enable the engine's\n"
-      "cross-query neighborhood cache with an M-MiB budget (0 = off);\n"
-      "append --no-simd to any command to disable the AVX2 distance\n"
-      "kernel (pure speed A/B: results are byte-identical either way);\n"
-      "EXPLAIN ANALYZE <query>; executes and shows the span tree.\n"
-      "query and serve take --slow-query-ms MS (log statements slower\n"
-      "than MS as JSONL), --trace-sample-every N (attach a trace to\n"
-      "every Nth statement; sampled slow queries log their span tree),\n"
-      "--log-file F (diagnostics to F instead of stderr) and\n"
-      "--log-level debug|info|warn|error");
+      "serve --http-port P adds GET /metrics /healthz /readyz /statusz on\n"
+      "--http-host (default 127.0.0.1); /statusz samples its time series\n"
+      "every --history-interval-ms, and /readyz answers 503 \"draining\"\n"
+      "for --drain-linger-ms after a graceful shutdown's drain.\n"
+      "query and serve: --naive runs the conceptually correct baseline\n"
+      "plans; --cache-mb M enables the cross-query neighborhood cache\n"
+      "with an M-MiB budget (0 = off); --index, --shards and\n"
+      "--shard-policy choose each relation's index and its spatial\n"
+      "partition (results are identical for every choice);\n"
+      "--slow-query-ms MS logs statements slower than MS as JSONL,\n"
+      "--trace-sample-every N attaches a trace to every Nth statement\n"
+      "(sampled slow queries log their span tree), --log-file F sends\n"
+      "diagnostics to F instead of stderr, and --log-level\n"
+      "debug|info|warn|error filters them.");
+}
+
+/// A command and every flag it reads.
+struct Command {
+  std::string name;
+  int (*run)(const Args&);
+  std::set<std::string_view> flags;
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"generate",
+       CmdGenerate,
+       {"--kind", "--n", "--clusters", "--per", "--seed", "--out"}},
+      {"info", CmdInfo, {"--data", "--index"}},
+      {"knn", CmdKnn, {"--data", "--at", "--k", "--index"}},
+      {"query",
+       CmdQuery,
+       {"--data", "-e", "--file", "--json", "--naive", "--index",
+        "--shards", "--shard-policy", "--cache-mb", "--slow-query-ms",
+        "--trace-sample-every", "--log-file", "--log-level"}},
+      {"serve",
+       CmdServe,
+       {"--data", "--host", "--port", "--threads", "--naive",
+        "--max-inflight", "--max-conn-inflight", "--max-request-bytes",
+        "--idle-timeout-ms", "--max-connections", "--write-timeout-ms",
+        "--shutdown-grace-ms", "--load-dir", "--allow-remote-shutdown",
+        "--data-dir", "--wal-sync", "--wal-sync-interval-ops",
+        "--snapshot-interval-ops", "--cache-mb", "--index", "--shards",
+        "--shard-policy", "--http-port", "--http-host",
+        "--history-interval-ms", "--drain-linger-ms", "--slow-query-ms",
+        "--trace-sample-every", "--log-file", "--log-level"}},
+  };
+  return commands;
 }
 
 }  // namespace
@@ -1125,24 +1031,20 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 1;
   }
-  const std::string command = argv[1];
-  auto args = Args::Parse(argc, argv, 2);
+  const std::string name = argv[1];
+  const auto& commands = Commands();
+  const auto command =
+      std::find_if(commands.begin(), commands.end(),
+                   [&](const Command& c) { return c.name == name; });
+  if (command == commands.end()) {
+    PrintUsage();
+    return 1;
+  }
+  auto args = Args::Parse(argc, argv, 2, command->name, command->flags);
   if (!args.ok()) return Fail(args.status());
 
   // SIMD A/B switch for every command: results are byte-identical with
   // or without the vectorized distance paths, so this only moves speed.
   if (args->Has("--no-simd")) SetSimdEnabled(false);
-
-  if (command == "generate") return CmdGenerate(*args);
-  if (command == "info") return CmdInfo(*args);
-  if (command == "knn") return CmdKnn(*args);
-  if (command == "query") return CmdQuery(*args);
-  if (command == "serve") return CmdServe(*args);
-  if (command == "two-selects") return CmdTwoSelects(*args);
-  if (command == "select-inner-join") return CmdSelectInnerJoin(*args);
-  if (command == "range-inner-join") return CmdRangeInnerJoin(*args);
-  if (command == "chained") return CmdThreeRelations(*args, true);
-  if (command == "unchained") return CmdThreeRelations(*args, false);
-  PrintUsage();
-  return 1;
+  return command->run(*args);
 }
