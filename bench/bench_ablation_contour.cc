@@ -1,7 +1,9 @@
 // Ablation: Procedure 3's contour early-stop vs exhaustive
-// preprocessing of the outer blocks. The contour rule should probe far
-// fewer blocks while classifying the same Contributing set on
-// city-shaped data (see DESIGN.md note 3 for the theoretical caveat).
+// preprocessing of the outer blocks. The contour rule probes far fewer
+// blocks, but it is UNSOUND: its stop needs the Non-Contributing run to
+// close a ring, and empty space has no block to test, so it loses rows
+// on known layouts (DESIGN.md note 3). Plans run the exhaustive mode;
+// this bench measures what the unchecked stop would save.
 
 #include "benchmark/benchmark.h"
 #include "bench/bench_common.h"

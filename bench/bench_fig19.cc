@@ -5,6 +5,10 @@
 // Paper shape: Block-Marking wins by ~3 orders of magnitude, and the
 // gap widens with |outer| because whole outer blocks are excluded while
 // the naive plan computes a neighborhood per outer point.
+//
+// Block-Marking runs the paper's contour stop here, as in the figure.
+// That stop is UNSOUND (it loses rows on known layouts, DESIGN.md
+// note 3); plans run the exhaustive classification instead.
 
 #include "benchmark/benchmark.h"
 #include "bench/bench_common.h"

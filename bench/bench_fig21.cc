@@ -2,8 +2,9 @@
 // large/high-density.
 //
 // Paper shape: Block-Marking wins - whole blocks of the dense outer
-// relation are excluded at per-block cost, and the contour stops the
-// preprocessing early. Counting pays a MAXDIST block scan for every
+// relation are excluded at per-block cost (this bench classifies every
+// block, as plans do: the paper's contour stop is unsound, DESIGN.md
+// note 3). Counting pays a MAXDIST block scan for every
 // outer block (DESIGN.md note 6), a scan for every point of each block
 // that one cannot settle, and a neighborhood for every point it does
 // not prune.

@@ -11,9 +11,9 @@ std::string ExecStats::ToString() const {
   int written = std::snprintf(
       buffer, sizeof(buffer),
       "blocks=%zu skipped=%zu points=%zu neighborhoods=%zu pruned=%zu "
-      "shards_pruned=%zu arena_bytes=%zu wall=%.3fms",
+      "arena_bytes=%zu wall=%.3fms",
       blocks_scanned, blocks_skipped, points_compared,
-      neighborhoods_computed, candidates_pruned, shards_pruned, arena_bytes,
+      neighborhoods_computed, candidates_pruned, arena_bytes,
       wall_seconds * 1e3);
   if ((cache_hits != 0 || cache_misses != 0 || cache_bytes != 0) &&
       written > 0 && static_cast<std::size_t>(written) < sizeof(buffer)) {
@@ -31,7 +31,6 @@ std::string ExecStats::ToJson() const {
          ", \"neighborhoods_computed\": " +
          std::to_string(neighborhoods_computed) +
          ", \"candidates_pruned\": " + std::to_string(candidates_pruned) +
-         ", \"shards_pruned\": " + std::to_string(shards_pruned) +
          ", \"cache_hits\": " + std::to_string(cache_hits) +
          ", \"cache_misses\": " + std::to_string(cache_misses) +
          ", \"cache_bytes\": " + std::to_string(cache_bytes) +

@@ -48,10 +48,6 @@ struct ExecStats {
   /// Scratch-arena footprint of the searcher(s) that ran this query
   /// (bytes). A gauge like cache_bytes: merging keeps the maximum.
   std::size_t arena_bytes = 0;
-  /// Engine shards skipped wholesale because their partition bounds lay
-  /// beyond the running k-th distance (distance-bound shard pruning).
-  /// Zero for unsharded relations.
-  std::size_t shards_pruned = 0;
 
   /// Folds a KnnSearcher's SearchStats into the scan counters.
   void AddSearch(const SearchStats& search) {
@@ -61,7 +57,6 @@ struct ExecStats {
     neighborhoods_computed += search.localities_computed;
     cache_hits += search.cache_hits;
     cache_misses += search.cache_misses;
-    shards_pruned += search.shards_pruned;
     if (search.arena_bytes > arena_bytes) arena_bytes = search.arena_bytes;
   }
 
@@ -77,26 +72,23 @@ struct ExecStats {
     wall_seconds += other.wall_seconds;
     cache_hits += other.cache_hits;
     cache_misses += other.cache_misses;
-    shards_pruned += other.shards_pruned;
     if (other.cache_bytes > cache_bytes) cache_bytes = other.cache_bytes;
     if (other.arena_bytes > arena_bytes) arena_bytes = other.arena_bytes;
   }
 
   /// True when every counter (wall time and cache footprint aside) is
   /// zero. A fully cache-served query is not empty (its hits count),
-  /// and neither is one answered purely by skipping: blocks_skipped
-  /// and shards_pruned are work evidence too.
+  /// and neither is one answered purely by skipping: blocks_skipped is
+  /// work evidence too.
   bool empty() const {
     return blocks_scanned == 0 && blocks_skipped == 0 &&
            points_compared == 0 && neighborhoods_computed == 0 &&
-           candidates_pruned == 0 && cache_hits == 0 &&
-           cache_misses == 0 && shards_pruned == 0;
+           candidates_pruned == 0 && cache_hits == 0 && cache_misses == 0;
   }
 
   /// One-line rendering, e.g.
   /// "blocks=12 skipped=4 points=480 neighborhoods=3 pruned=0
-  /// shards_pruned=0 arena_bytes=2048 wall=0.52ms"; when a cache was in
-  /// play,
+  /// arena_bytes=2048 wall=0.52ms"; when a cache was in play,
   /// " cache_hits=5 cache_misses=2 cache_bytes=.." is appended.
   std::string ToString() const;
 

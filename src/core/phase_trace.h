@@ -78,7 +78,6 @@ class PhaseSpan {
     span_.Count("blocks_skipped", now.blocks_skipped - before.blocks_skipped);
     span_.Count("cache_hits", now.cache_hits - before.cache_hits);
     span_.Count("cache_misses", now.cache_misses - before.cache_misses);
-    span_.Count("shards_pruned", now.shards_pruned - before.shards_pruned);
   }
 
   obs::ScopedSpan span_;

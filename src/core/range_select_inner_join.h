@@ -62,7 +62,7 @@ Result<JoinResult> RangeSelectInnerJoinCounting(
 /// center for the contour rule.
 Result<JoinResult> RangeSelectInnerJoinBlockMarking(
     const RangeSelectInnerJoinQuery& query,
-    PreprocessMode mode = PreprocessMode::kContour,
+    PreprocessMode mode = PreprocessMode::kExhaustive,
     SelectInnerJoinStats* stats = nullptr, ExecStats* exec = nullptr,
     NeighborhoodCache* shared_cache = nullptr);
 

@@ -53,12 +53,15 @@ struct SelectInnerJoinQuery {
 
 /// How Block-Marking classifies the outer blocks.
 enum class PreprocessMode {
-  /// The paper's contour rule: stop scanning once a closed ring of
-  /// Non-Contributing blocks is found (Procedure 3, Figure 6).
+  /// The paper's contour rule: stop scanning once a run of
+  /// Non-Contributing blocks reaches the run's first MAXDIST
+  /// (Procedure 3, Figure 6). UNSOUND: empty space has no block to
+  /// test, so the run need not close a ring, and rows are lost on
+  /// known layouts (DESIGN.md note 3). Kept only for the contour
+  /// ablation and Figure 19's bench.
   kContour,
-  /// Probe every outer block. Slower preprocessing, exact
-  /// classification even for adversarial mixed-density layouts (see
-  /// DESIGN.md note 3).
+  /// Probe every outer block: exact classification on every layout.
+  /// The mode every plan runs.
   kExhaustive,
 };
 
@@ -105,7 +108,7 @@ Result<JoinResult> SelectInnerJoinCounting(
 /// Procedures 2 + 3. Same output as the naive QEP.
 Result<JoinResult> SelectInnerJoinBlockMarking(
     const SelectInnerJoinQuery& query,
-    PreprocessMode mode = PreprocessMode::kContour,
+    PreprocessMode mode = PreprocessMode::kExhaustive,
     SelectInnerJoinStats* stats = nullptr,
     ProbePoint probe = ProbePoint::kCenter, ExecStats* exec = nullptr,
     NeighborhoodCache* shared_cache = nullptr);

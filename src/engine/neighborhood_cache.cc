@@ -29,7 +29,7 @@ std::size_t RoundUpPow2(std::size_t n) {
 /// index's hash/equality contract for -0.0 vs +0.0 and make NaN keys
 /// (NaN != NaN) unfindable - and thus unevictable.
 struct Key {
-  /// SpatialIndex::instance_id() of the relation (or shard child).
+  /// SpatialIndex::instance_id() of the relation.
   std::uint64_t relation_id;
   std::uint64_t x_bits;
   std::uint64_t y_bits;
@@ -279,7 +279,6 @@ void NeighborhoodCache::Insert(const SpatialIndex* relation,
   const std::uint64_t hash = Hash(key);
   Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (relation->retired()) return;  // See RetireRelation.
   if (Entry* existing = shard.Find(key, hash)) {
     // A concurrent miss raced us here; the values are identical
     // (GetKnn is deterministic), so just refresh recency.
@@ -311,19 +310,7 @@ void NeighborhoodCache::Clear() {
 }
 
 void NeighborhoodCache::InvalidateRelation(const SpatialIndex* relation) {
-  DropEntries(relation->instance_id());
-}
-
-void NeighborhoodCache::RetireRelation(const SpatialIndex* relation) {
-  relation->MarkRetired();
-  {
-    std::lock_guard<std::mutex> lock(relation_generations_mu_);
-    relation_generations_.erase(relation->instance_id());
-  }
-  DropEntries(relation->instance_id());
-}
-
-void NeighborhoodCache::DropEntries(std::uint64_t relation_id) {
+  const std::uint64_t relation_id = relation->instance_id();
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     std::size_t dropped_bytes = 0;
@@ -337,6 +324,7 @@ void NeighborhoodCache::DropEntries(std::uint64_t relation_id) {
     bytes_.fetch_sub(dropped_bytes, std::memory_order_relaxed);
   }
 }
+
 void NeighborhoodCache::InvalidateIfGenerationChanged(
     const SpatialIndex* relation, std::uint64_t generation) {
   {
@@ -381,38 +369,8 @@ NeighborhoodCacheStats NeighborhoodCache::GetStats() const {
   return stats;
 }
 
-namespace {
-
-/// ShardMemo over the shared cache: per-shard-child entries, keyed by
-/// the child's instance id like any other relation.
-class CacheShardMemo final : public ShardMemo {
- public:
-  explicit CacheShardMemo(NeighborhoodCache* cache) : cache_(cache) {}
-
-  bool Lookup(const SpatialIndex& shard, const Point& query, std::size_t k,
-              Neighborhood* out) override {
-    return cache_->Lookup(&shard, query, k, out);
-  }
-
-  void Store(const SpatialIndex& shard, const Point& query, std::size_t k,
-             const Neighborhood& neighborhood) override {
-    cache_->Insert(&shard, query, k, neighborhood);
-  }
-
- private:
-  NeighborhoodCache* cache_;
-};
-
-}  // namespace
-
 Neighborhood CachingKnnSearcher::GetKnn(const Point& query, std::size_t k) {
   if (cache_ == nullptr) return searcher_.GetKnn(query, k);
-  if (searcher_.sharded()) {
-    // Per-shard caching: the scatter-gather search does its own
-    // lookups/stores (and hit/miss accounting) through the memo.
-    CacheShardMemo memo(cache_);
-    return searcher_.GetKnn(query, k, &memo);
-  }
   Neighborhood neighborhood;
   if (cache_->Lookup(&searcher_.index(), query, k, &neighborhood)) {
     ++searcher_.stats().cache_hits;

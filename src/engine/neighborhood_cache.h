@@ -86,10 +86,9 @@ class NeighborhoodCache {
   /// the entry's LRU position and returns true. Identity of `relation`
   /// is the index OBJECT via its process-unique instance_id(): two
   /// structures over the same points cache separately (and, GetKnn
-  /// being deterministic, hold byte-identical values), and an index
-  /// replaced by copy-on-write can never serve the entries of the
-  /// object it replaced (a reused heap address would; instance ids are
-  /// never reused).
+  /// being deterministic, hold byte-identical values), and a new index
+  /// can never serve the entries of a destroyed one (a reused heap
+  /// address would; instance ids are never reused).
   bool Lookup(const SpatialIndex* relation, const Point& query,
               std::size_t k, Neighborhood* out);
 
@@ -97,8 +96,7 @@ class NeighborhoodCache {
   /// shard's budget are dropped before anything is allocated;
   /// otherwise the shard evicts LRU-first until the new entry fits.
   /// Inserting a key that is already present (a concurrent miss on
-  /// both threads) only refreshes its position. A retired `relation`
-  /// (see RetireRelation) is refused.
+  /// both threads) only refreshes its position.
   void Insert(const SpatialIndex* relation, const Point& query,
               std::size_t k, const Neighborhood& neighborhood);
 
@@ -109,17 +107,6 @@ class NeighborhoodCache {
   /// relation's neighborhoods hot — the point of keying invalidation
   /// per relation instead of nuking the cache on any catalog change.
   void InvalidateRelation(const SpatialIndex* relation);
-
-  /// For an index object a copy-on-write publish replaced: marks it
-  /// retired (SpatialIndex::MarkRetired), then drops its entries and
-  /// forgets its generation record. Its entries are unreachable (the
-  /// replacement has a fresh instance id), yet readers still pinned on
-  /// it keep searching it. Insert checks the mark under the shard
-  /// mutex, and the drop walks every shard under that mutex after
-  /// setting it, so an insert either sees the mark or lands before the
-  /// walk and is dropped by it: no entry of a retired object outlives
-  /// this call.
-  void RetireRelation(const SpatialIndex* relation);
 
   /// Per-relation generation hook: when `generation` differs from the
   /// last value observed for `relation`, that relation's entries (and
@@ -152,10 +139,6 @@ class NeighborhoodCache {
 
   Shard& ShardFor(std::uint64_t hash);
 
-  /// Drops every entry keyed under `relation_id` (generation records
-  /// are left alone — only RetireRelation forgets those).
-  void DropEntries(std::uint64_t relation_id);
-
   const std::size_t capacity_bytes_;
   const std::size_t shard_capacity_;
   /// log2 of the shard count: a key's shard is its hash's top bits.
@@ -176,11 +159,6 @@ class NeighborhoodCache {
 /// GetKnnRestricted always passes through (see the cache's header
 /// comment). Like KnnSearcher, not thread-safe: one per thread; the
 /// cache itself is safely shared.
-///
-/// Over a ShardedIndex, caching happens PER SHARD: the scatter-gather
-/// search is handed a ShardMemo keyed by child instance ids, so a
-/// mutation that copy-on-write-replaces one shard leaves every other
-/// shard's cached neighborhoods serving.
 class CachingKnnSearcher {
  public:
   explicit CachingKnnSearcher(const SpatialIndex& index,

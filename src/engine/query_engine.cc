@@ -1,6 +1,5 @@
 #include "src/engine/query_engine.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <latch>
 #include <mutex>
@@ -9,11 +8,9 @@
 #include <utility>
 #include <variant>
 
-#include "src/common/check.h"
 #include "src/common/stopwatch.h"
 #include "src/data/dataset_io.h"
 #include "src/engine/neighborhood_cache.h"
-#include "src/index/sharded_index.h"
 #include "src/lang/knnql.h"
 #include "src/lang/parser.h"
 #include "src/lang/unparser.h"
@@ -47,46 +44,19 @@ std::string MutationSummary(const char* verb, const std::string& relation,
          std::to_string(outcome.generation) + ")\n";
 }
 
-PointId NextIdAfter(const PointSet& points) {
-  PointId next = 0;
-  for (const Point& p : points) next = std::max(next, p.id + 1);
-  return next;
-}
-
 }  // namespace
 
 QueryEngine::QueryEngine(Catalog catalog, EngineOptions options)
     : catalog_(std::move(catalog)),
       options_(std::move(options)),
-      cow_(options_.index_options.shards > 1),
       cache_(MakeCache(options_)),
       pool_(std::make_unique<ThreadPool>(ThreadPoolOptions{
           .num_threads = ResolveThreads(options_.num_threads),
           .max_queue = options_.pool_queue_limit})) {
-  if (cow_) {
-    // Reshard every adopted relation that is not already sharded,
-    // preserving its structure type. No readers or writers exist yet,
-    // so this can rebuild in place.
-    for (const std::string& name : catalog_.Names()) {
-      const Relation& rel = **catalog_.Get(name);
-      if (dynamic_cast<const ShardedIndex*>(rel.index.get()) != nullptr) {
-        continue;
-      }
-      IndexOptions shard_options = options_.index_options;
-      shard_options.type = rel.index->type();
-      auto built = ShardedIndex::Build(rel.index->points(), shard_options);
-      // The points already passed index construction once; resharding
-      // the same data cannot fail.
-      KNNQ_CHECK_MSG(built.ok(), "resharding an adopted relation failed");
-      auto replaced = catalog_.ReplaceIndex(name, std::move(built.value()),
-                                            rel.next_id, 0);
-      KNNQ_CHECK_MSG(replaced.ok(), "republishing a resharded relation");
-    }
-  }
   if (cache_ != nullptr) {
     // Adopt the catalog's generation as the cache's baseline; every
     // later change flows through ExecuteDml, which invalidates per
-    // relation (or per shard child in sharded mode).
+    // relation.
     cache_->InvalidateIfGenerationChanged(catalog_.generation());
   }
 }
@@ -129,11 +99,16 @@ EngineResult QueryEngine::RunWithTrace(
     // then a no-op) for exactly the plan+execute window, on whichever
     // thread this query runs.
     obs::TraceScope scope(trace.get());
-    if (cow_) {
-      result = RunPinned(spec);
+    std::shared_lock<std::shared_mutex> lock(catalog_mu_);
+    std::optional<Result<PhysicalPlan>> plan;
+    {
+      obs::ScopedSpan span("plan");
+      plan.emplace(Optimize(catalog_, spec, options_.planner));
+    }
+    if (plan->ok()) {
+      ExecutePlan(**plan, &result);
     } else {
-      std::shared_lock<std::shared_mutex> lock(catalog_mu_);
-      result = RunLocked(spec);
+      result.status = plan->status();
     }
   }
   if (trace != nullptr) {
@@ -227,55 +202,15 @@ void QueryEngine::ExecutePlan(const PhysicalPlan& plan,
   result->output = std::move(output.value());
 }
 
-EngineResult QueryEngine::RunLocked(const QuerySpec& spec) const {
-  EngineResult result;
-  std::optional<Result<PhysicalPlan>> plan;
-  {
-    obs::ScopedSpan span("plan");
-    plan.emplace(Optimize(catalog_, spec, options_.planner));
-  }
-  if (!plan->ok()) {
-    result.status = plan->status();
-    return result;
-  }
-  ExecutePlan(**plan, &result);
-  return result;
-}
-
-EngineResult QueryEngine::RunPinned(const QuerySpec& spec) const {
-  EngineResult result;
-  // Plans hold raw SpatialIndex pointers into the catalog; pin every
-  // relation's current index so a concurrent copy-on-write commit
-  // cannot destroy one while this query executes without the lock.
-  std::vector<std::shared_ptr<SpatialIndex>> pinned;
-  std::optional<Result<PhysicalPlan>> plan;
-  {
-    obs::ScopedSpan span("plan");
-    std::shared_lock<std::shared_mutex> lock(catalog_mu_);
-    for (const std::string& name : catalog_.Names()) {
-      if (auto rel = catalog_.Get(name); rel.ok()) {
-        pinned.push_back((*rel)->index);
-      }
-    }
-    plan.emplace(Optimize(catalog_, spec, options_.planner));
-  }
-  if (!plan->ok()) {
-    result.status = plan->status();
-    return result;
-  }
-  ExecutePlan(**plan, &result);
-  return result;
-}
-
 std::vector<EngineResult> QueryEngine::RunBatch(
     const std::vector<QuerySpec>& specs) const {
   std::vector<EngineResult> results(specs.size());
   if (specs.empty()) return results;
 
   // One task per query; slots keep submission order and isolate
-  // failures. Each task pins its own snapshot (or takes its own reader
-  // lock), so a batch interleaves with writers at query granularity
-  // while the queries themselves stay lock-free among each other.
+  // failures. Each task takes its own reader lock, so a batch
+  // interleaves with writers at query granularity while the queries
+  // themselves never contend with each other.
   std::latch done(static_cast<std::ptrdiff_t>(specs.size()));
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const bool submitted = pool_->Submit([this, &specs, &results, &done, i] {
@@ -293,10 +228,6 @@ std::vector<EngineResult> QueryEngine::RunBatch(
   }
   done.wait();
   return results;
-}
-
-EngineResult QueryEngine::ExecuteDml(DmlRequest request) {
-  return cow_ ? ExecuteDmlCow(request) : ExecuteDmlLegacy(request);
 }
 
 EngineResult QueryEngine::ExecuteDml(const knnql::DmlSpec& dml) {
@@ -350,7 +281,7 @@ EngineResult QueryEngine::ExecuteDml(const knnql::DmlSpec& dml) {
   return result;
 }
 
-EngineResult QueryEngine::ExecuteDmlLegacy(DmlRequest& request) {
+EngineResult QueryEngine::ExecuteDml(DmlRequest request) {
   EngineResult result;
   result.is_mutation = true;
   Stopwatch timer;
@@ -409,299 +340,6 @@ EngineResult QueryEngine::ExecuteDmlLegacy(DmlRequest& request) {
   // Outside the catalog lock: EndCommit may decide to cut a snapshot,
   // which quiesces commits and reads the catalog itself.
   if (logged) options_.wal->EndCommit(lsn, /*applied=*/true);
-  result.stats.wall_seconds = timer.ElapsedSeconds();
-  RecordMutation(result);
-  return result;
-}
-
-EngineResult QueryEngine::ExecuteDmlCow(DmlRequest& request) {
-  if (request.kind == DmlRequest::Kind::kMutate) {
-    return MutateCow(request);
-  }
-  return LoadCow(request);
-}
-
-QueryEngine::RelationWriteState& QueryEngine::WriteStateFor(
-    const std::string& relation) {
-  std::lock_guard<std::mutex> lock(write_states_mu_);
-  auto& slot = write_states_[relation];
-  if (slot == nullptr) slot = std::make_unique<RelationWriteState>();
-  return *slot;
-}
-
-EngineResult QueryEngine::MutateCow(DmlRequest& request) {
-  const std::string& relation = request.relation;
-  const std::vector<MutationOp>& ops = request.ops;
-  EngineResult result;
-  result.is_mutation = true;
-  Stopwatch timer;
-
-  RelationWriteState& ws = WriteStateFor(relation);
-  // One writer lane per relation: writers to DIFFERENT relations run
-  // concurrently, and none of them blocks readers (which execute on
-  // pinned snapshots).
-  std::lock_guard<std::mutex> writer(ws.mu);
-
-  // Pin the current wrapper. ws.mu guarantees no other writer can
-  // republish this relation until we commit, so the pin stays the
-  // newest version throughout.
-  std::shared_ptr<SpatialIndex> base;
-  {
-    obs::ScopedSpan span("cow_pin");
-    std::shared_lock<std::shared_mutex> lock(catalog_mu_);
-    auto rel = catalog_.Get(relation);
-    if (!rel.ok()) {
-      result.status = rel.status();
-      RecordMutation(result);
-      return result;
-    }
-    base = (*rel)->index;
-    if (!ws.initialized) {
-      ws.next_id = (*rel)->next_id;
-      ws.initialized = true;
-    }
-  }
-  const auto* sharded = dynamic_cast<const ShardedIndex*>(base.get());
-  if (sharded == nullptr) {
-    result.status = Status::Internal("sharded engine: relation '" + relation +
-                                     "' is not sharded");
-    RecordMutation(result);
-    return result;
-  }
-
-  // Log-before-apply: the request is admitted (relation exists and is
-  // sharded), so it gets its LSN — and its durable record — before any
-  // clone is touched. ws.mu orders appends per relation; the sink
-  // orders LSNs globally.
-  std::uint64_t lsn = 0;
-  bool logged = false;
-  if (options_.wal != nullptr) {
-    obs::ScopedSpan wal_span("wal_append");
-    auto assigned = options_.wal->BeginCommit(request);
-    if (!assigned.ok()) {
-      result.status = assigned.status();
-      RecordMutation(result);
-      return result;
-    }
-    lsn = *assigned;
-    logged = true;
-  }
-
-  // Copy-on-write: share every child, clone a child the first time an
-  // op routes to it. Untouched shards keep their objects — and their
-  // cache entries.
-  const std::size_t num_shards = sharded->num_shards();
-  std::vector<std::shared_ptr<SpatialIndex>> children;
-  children.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    children.push_back(sharded->shard_ptr(s));
-  }
-  std::vector<bool> cloned(num_shards, false);
-  // The originals of the cloned shards. `base` keeps them alive.
-  std::vector<const SpatialIndex*> retired;
-  const auto writable = [&](std::size_t s) -> SpatialIndex* {
-    if (!cloned[s]) {
-      retired.push_back(children[s].get());
-      children[s] = std::shared_ptr<SpatialIndex>(children[s]->Clone());
-      cloned[s] = true;
-    }
-    return children[s].get();
-  };
-
-  std::size_t rows = 0;
-  Status failure = Status::Ok();
-  {
-    obs::ScopedSpan apply_span("cow_apply");
-    for (const MutationOp& op : ops) {
-      if (op.kind == MutationOp::Kind::kInsert) {
-        Point p = op.point;
-        if (p.id < 0) p.id = ws.next_id;
-        const std::size_t s = sharded->partition()->Route(p.x, p.y);
-        if (Status st = writable(s)->Insert(p); !st.ok()) {
-          failure = st;
-          break;
-        }
-        ws.next_id = std::max(ws.next_id, p.id + 1);
-        ++rows;
-      } else {
-        // Ownership lookup runs over the working set: the clone when
-        // this batch already touched the shard (so an id inserted
-        // earlier in the batch is erasable), the shared original
-        // otherwise.
-        int owner = -1;
-        for (std::size_t s = 0; s < num_shards && owner < 0; ++s) {
-          if (children[s]->HasPoint(op.erase_id)) {
-            owner = static_cast<int>(s);
-          }
-        }
-        if (owner < 0) continue;  // Absent id: 0 rows, not an error.
-        const Status erased =
-            writable(static_cast<std::size_t>(owner))->Erase(op.erase_id);
-        if (erased.ok()) {
-          ++rows;
-        } else if (erased.code() != StatusCode::kNotFound) {
-          failure = erased;
-          break;
-        }
-      }
-    }
-    apply_span.Count("rows_applied", rows);
-    apply_span.Count("shards_cloned", retired.size());
-  }
-
-  // Commit matches Catalog::Mutate semantics: ops before a failing one
-  // stay applied (the prefix publishes), a no-op batch does not bump
-  // the generation.
-  MutationOutcome outcome{.rows_affected = rows, .generation = 0,
-                          .index = nullptr};
-  {
-    obs::ScopedSpan publish_span("cow_publish");
-    if (rows > 0) {
-      auto rebuilt =
-          ShardedIndex::FromShards(sharded->partition(), std::move(children));
-      KNNQ_CHECK_MSG(rebuilt.ok(), "rewrapping mutated shards failed");
-      std::unique_lock<std::shared_mutex> lock(catalog_mu_);
-      auto committed = catalog_.ReplaceIndex(
-          relation, std::move(rebuilt.value()), ws.next_id, rows);
-      KNNQ_CHECK_MSG(committed.ok(), "republishing a mutated relation");
-      if (logged) catalog_.StampLsn(relation, lsn);
-      outcome = *committed;
-    } else {
-      std::shared_lock<std::shared_mutex> lock(catalog_mu_);
-      if (auto rel = catalog_.Get(relation); rel.ok()) {
-        outcome.generation = (*rel)->generation;
-      }
-    }
-    // Replaced child objects can no longer serve new readers; retire
-    // them, so readers still pinned on them stop caching under their
-    // ids, and drop their entries (every other shard's stay hot). Only
-    // after a publish: an unpublished clone leaves the originals live.
-    if (rows > 0 && cache_ != nullptr) {
-      for (const SpatialIndex* old : retired) cache_->RetireRelation(old);
-      publish_span.Count("cache_retired", retired.size());
-    }
-  }
-
-  // The catalog lock is released; EndCommit may cut a snapshot (it
-  // quiesces commits and reads the catalog itself). Still inside
-  // ws.mu, which only orders writers of this one relation.
-  if (logged) options_.wal->EndCommit(lsn, failure.ok());
-
-  if (!failure.ok()) {
-    result.status = failure;
-    result.stats.wall_seconds = timer.ElapsedSeconds();
-    RecordMutation(result);
-    return result;
-  }
-  result.rows_affected = outcome.rows_affected;
-  result.explain = MutationSummary("MUTATE", relation, outcome);
-  result.stats.wall_seconds = timer.ElapsedSeconds();
-  RecordMutation(result);
-  return result;
-}
-
-EngineResult QueryEngine::LoadCow(DmlRequest& request) {
-  const std::string& relation = request.relation;
-  EngineResult result;
-  result.is_mutation = true;
-  Stopwatch timer;
-
-  RelationWriteState& ws = WriteStateFor(relation);
-  std::lock_guard<std::mutex> writer(ws.mu);
-
-  // Preserve an existing relation's structure type (like BulkLoad
-  // does); unknown names build with the engine's index options.
-  IndexOptions build_options = options_.index_options;
-  bool exists = false;
-  std::shared_ptr<SpatialIndex> old_index;
-  {
-    std::shared_lock<std::shared_mutex> lock(catalog_mu_);
-    if (auto rel = catalog_.Get(relation); rel.ok()) {
-      exists = true;
-      old_index = (*rel)->index;
-      build_options.type = old_index->type();
-    }
-  }
-
-  // Log-before-apply, and before the points move into the build: the
-  // record carries the full new contents.
-  std::uint64_t lsn = 0;
-  bool logged = false;
-  if (options_.wal != nullptr) {
-    obs::ScopedSpan wal_span("wal_append");
-    auto assigned = options_.wal->BeginCommit(request);
-    if (!assigned.ok()) {
-      result.status = assigned.status();
-      RecordMutation(result);
-      return result;
-    }
-    lsn = *assigned;
-    logged = true;
-  }
-
-  PointSet points = std::move(request.points);
-  const std::size_t rows = points.size();
-  const PointId next_id = NextIdAfter(points);
-  // The expensive part — partitioning and indexing the new contents —
-  // happens with no lock held and no reader or writer disturbed.
-  std::shared_ptr<SpatialIndex> fresh;
-  {
-    obs::ScopedSpan span("load_build");
-    span.Count("rows_applied", rows);
-    auto built = ShardedIndex::Build(std::move(points), build_options);
-    if (!built.ok()) {
-      result.status = built.status();
-      if (logged) options_.wal->EndCommit(lsn, /*applied=*/false);
-      RecordMutation(result);
-      return result;
-    }
-    fresh = std::move(built.value());
-  }
-
-  MutationOutcome outcome;
-  {
-    obs::ScopedSpan span("cow_publish");
-    std::unique_lock<std::shared_mutex> lock(catalog_mu_);
-    if (exists) {
-      auto committed =
-          catalog_.ReplaceIndex(relation, std::move(fresh), next_id, rows);
-      KNNQ_CHECK_MSG(committed.ok(), "republishing a loaded relation");
-      outcome = *committed;
-    } else {
-      if (Status s = catalog_.AdoptRelation(relation, std::move(fresh),
-                                            next_id);
-          !s.ok()) {
-        result.status = s;
-        lock.unlock();
-        if (logged) options_.wal->EndCommit(lsn, /*applied=*/false);
-        RecordMutation(result);
-        return result;
-      }
-      outcome = MutationOutcome{
-          .rows_affected = rows,
-          .generation = (*catalog_.Get(relation))->generation,
-          .index = nullptr};
-    }
-    if (logged) catalog_.StampLsn(relation, lsn);
-  }
-  ws.next_id = next_id;
-  ws.initialized = true;
-  if (logged) options_.wal->EndCommit(lsn, /*applied=*/true);
-
-  // The whole old wrapper was replaced: retire every old shard's cache
-  // entries (and the wrapper's own, in case anything keyed on it).
-  if (cache_ != nullptr && old_index != nullptr) {
-    if (const auto* old_sharded =
-            dynamic_cast<const ShardedIndex*>(old_index.get())) {
-      for (std::size_t s = 0; s < old_sharded->num_shards(); ++s) {
-        cache_->RetireRelation(&old_sharded->shard(s));
-      }
-    }
-    cache_->RetireRelation(old_index.get());
-  }
-
-  result.rows_affected = outcome.rows_affected;
-  result.explain = MutationSummary("LOAD", relation, outcome);
   result.stats.wall_seconds = timer.ElapsedSeconds();
   RecordMutation(result);
   return result;

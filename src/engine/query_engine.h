@@ -8,45 +8,26 @@
 // RunScript() executes a KNNQL script that may interleave DML with
 // queries.
 //
-// Concurrency model — two modes, selected by the shard count
-// (EngineOptions::index_options.shards):
-//
-//   shards == 1 (default, the historical engine): SpatialIndex
-//   instances are read-thread-safe with no synchronization as long as
-//   no write is in flight, so the engine serializes writers against
-//   readers with one std::shared_mutex. Every Run()/RunBatch() slot
-//   holds a reader lock for its whole plan+execute, DML holds the
-//   writer lock and mutates indexes in place. Reads scale across cores
-//   (shared locks don't contend), writes apply between queries.
-//
-//   shards > 1 (sharded scale-out): every relation is a ShardedIndex
-//   (src/index/sharded_index.h) and DML switches to copy-on-write
-//   publication. A writer pins the current wrapper, clones only the
-//   shards its ops route to, applies the batch to the clones, rebuilds
-//   a wrapper via ShardedIndex::FromShards and commits it with one
-//   pointer swap (Catalog::ReplaceIndex) under a brief exclusive lock.
-//   Readers pin shared_ptr snapshots of every relation under a brief
-//   shared lock, then plan+execute entirely lock-free — a bulk write
-//   to one relation no longer stalls reads, and writers to different
-//   relations proceed concurrently (one writer mutex per relation).
-//   Queries against a sharded relation run scatter-gather getkNN with
-//   distance-bound shard pruning (ExecStats::shards_pruned).
+// Concurrency model: SpatialIndex instances are read-thread-safe with
+// no synchronization as long as no write is in flight, so the engine
+// serializes writers against readers with one std::shared_mutex. Every
+// Run()/RunBatch() slot holds a reader lock for its whole
+// plan+execute; DML holds the writer lock and mutates indexes in
+// place. Reads scale across cores (shared locks don't contend), writes
+// apply between queries.
 //
 // The one shared mutable structure is optional: with
 // EngineOptions::cache_mb > 0 the engine owns a NeighborhoodCache, a
-// sharded cross-query memo of getkNN results, consulted by every
+// lock-striped cross-query memo of getkNN results, consulted by every
 // evaluator. A mutation invalidates only the mutated relation's cache
-// entries (keyed per shard child in sharded mode, so replacing one
-// shard keeps every other shard's neighborhoods hot). Cached execution
-// returns byte-identical results (GetKnn is deterministic; restricted
-// searches bypass the cache).
+// entries. Cached execution returns byte-identical results (GetKnn is
+// deterministic; restricted searches bypass the cache).
 
 #ifndef KNNQ_SRC_ENGINE_QUERY_ENGINE_H_
 #define KNNQ_SRC_ENGINE_QUERY_ENGINE_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -78,8 +59,8 @@ struct DmlRequest;
 /// hands back the replayed record's original LSN without writing) and
 /// returns the log sequence number the commit carries. A not-ok result
 /// aborts the DML with that status. EndCommit pairs with every
-/// successful BeginCommit once the apply/publish finished and the
-/// engine dropped its catalog lock; `applied` says whether the batch
+/// successful BeginCommit once the apply finished and the engine
+/// dropped its catalog lock; `applied` says whether the batch
 /// applied cleanly (a failed batch may still have applied a prefix —
 /// replaying its record reproduces exactly that prefix).
 class WalSink {
@@ -91,9 +72,7 @@ class WalSink {
 
 /// Engine construction knobs — the one place engine-level tuning
 /// lives. Defaults are the zero-configuration single-process engine:
-/// hardware threads, no cache, unbounded pool queue, one shard per
-/// relation (index_options.shards = 1: in-place DML under the
-/// reader/writer lock).
+/// hardware threads, no cache, unbounded pool queue.
 struct EngineOptions {
   /// Worker threads for RunBatch. 0 means hardware concurrency.
   std::size_t num_threads = 0;
@@ -116,12 +95,8 @@ struct EngineOptions {
   PlannerOptions planner;
 
   /// Index construction parameters for relations the engine creates
-  /// itself (DML LOAD on an unknown name) and for resharding the
-  /// adopted catalog's relations. Its `shards` is the engine's shard
-  /// count: 1 (default) keeps the historical single-index engine; > 1
-  /// builds every relation as a ShardedIndex and switches the engine
-  /// to pinned-snapshot reads and copy-on-write DML (see the header
-  /// comment).
+  /// itself (DML LOAD on an unknown name). Relations of the adopted
+  /// catalog keep the indexes they were built with.
   IndexOptions index_options;
 
   /// Slow-query log threshold in milliseconds: any statement whose
@@ -213,9 +188,7 @@ struct EngineStatsSnapshot {
 /// catalog, under the concurrency protocol described above.
 class QueryEngine {
  public:
-  /// Takes ownership of `catalog`. With shards > 1, every adopted
-  /// relation is rebuilt as a ShardedIndex (preserving its structure
-  /// type) before serving starts. Relations stay mutable through
+  /// Takes ownership of `catalog`. Relations stay mutable through
   /// ExecuteDml only; all other entry points are reads.
   explicit QueryEngine(Catalog catalog, EngineOptions options = {});
   ~QueryEngine();
@@ -233,19 +206,13 @@ class QueryEngine {
   /// saturation gauge behind knnq_engine_pool_queue_depth.
   std::size_t pool_queue_depth() const;
 
-  /// The shards-per-relation count (1 = unsharded engine).
-  std::size_t shards() const {
-    return cow_ ? options_.index_options.shards : 1;
-  }
-
   /// The engine's cross-query neighborhood cache; null when cache_mb
   /// is 0. Exposed for stats inspection (hit rate, footprint) and
   /// explicit Clear().
   NeighborhoodCache* neighborhood_cache() const { return cache_.get(); }
 
-  /// Plans and executes one query on the calling thread. Safe to call
-  /// concurrently with DML in either mode (reader lock, or pinned
-  /// snapshot in sharded mode).
+  /// Plans and executes one query on the calling thread under the
+  /// reader lock, so it is safe to call concurrently with DML.
   EngineResult Run(const QuerySpec& spec) const;
 
   /// Run with tracing forced on: the EXPLAIN ANALYZE path. Executes
@@ -289,13 +256,11 @@ class QueryEngine {
   /// reader lock, so servers can bind incrementally while writers run.
   Result<QuerySpec> BindQuery(const knnql::Query& query) const;
 
-  /// THE write path: applies one DML request. kMutate applies the ops
-  /// in order (ops before a failing one stay applied); kLoad replaces
-  /// or creates the relation. In the default engine this runs in place
-  /// under the writer lock; in sharded mode it clones only the
-  /// affected shards and publishes copy-on-write without blocking
-  /// readers. The result's status carries any failure; rows_affected
-  /// and explain summarize the applied writes.
+  /// THE write path: applies one DML request in place under the writer
+  /// lock. kMutate applies the ops in order (ops before a failing one
+  /// stay applied); kLoad replaces or creates the relation. The
+  /// result's status carries any failure; rows_affected and explain
+  /// summarize the applied writes.
   EngineResult ExecuteDml(DmlRequest request);
 
   /// Applies one bound KNNQL DML statement by lowering it to a
@@ -327,22 +292,9 @@ class QueryEngine {
   Result<std::vector<EngineResult>> RunScript(std::string_view text);
 
  private:
-  /// Serializes writers of ONE relation in sharded mode and owns its
-  /// auto-id sequence (next_id mirrors the catalog's; reading it under
-  /// `mu` avoids re-locking the catalog per op).
-  struct RelationWriteState {
-    std::mutex mu;
-    /// Guarded by `mu`. Valid only after `initialized`.
-    PointId next_id = 0;
-    bool initialized = false;
-  };
-
-  /// Plan + execute without taking the reader lock (callers hold it).
-  EngineResult RunLocked(const QuerySpec& spec) const;
-
   /// The shared tail of Run/RunAnalyzed: installs `trace` (may be
-  /// null) on this thread, runs, finishes the trace, records stats and
-  /// feeds the slow-query log.
+  /// null) on this thread, plans and executes under the reader lock,
+  /// finishes the trace, records stats and feeds the slow-query log.
   EngineResult RunWithTrace(const QuerySpec& spec,
                             std::shared_ptr<obs::TraceContext> trace) const;
 
@@ -354,22 +306,8 @@ class QueryEngine {
   void MaybeLogSlow(const std::string& text,
                     const EngineResult& result) const;
 
-  /// Executes an optimized plan into `result` — the shared tail of
-  /// RunLocked and RunPinned.
+  /// Executes an optimized plan into `result`.
   void ExecutePlan(const PhysicalPlan& plan, EngineResult* result) const;
-
-  /// Sharded-mode read: pin every relation's index under a brief
-  /// shared lock, then plan + execute lock-free against the pins.
-  EngineResult RunPinned(const QuerySpec& spec) const;
-
-  /// The two DML engines behind ExecuteDml.
-  EngineResult ExecuteDmlLegacy(DmlRequest& request);
-  EngineResult ExecuteDmlCow(DmlRequest& request);
-  EngineResult MutateCow(DmlRequest& request);
-  EngineResult LoadCow(DmlRequest& request);
-
-  /// The per-relation writer state, created on first write.
-  RelationWriteState& WriteStateFor(const std::string& relation);
 
   /// Folds one finished statement into the cumulative counters.
   void RecordQuery(const EngineResult& result) const;
@@ -377,18 +315,10 @@ class QueryEngine {
 
   Catalog catalog_;
   EngineOptions options_;
-  /// True when the engine runs the sharded copy-on-write protocol
-  /// (shards > 1).
-  bool cow_ = false;
   /// Shared across all workers; internally synchronized.
   std::unique_ptr<NeighborhoodCache> cache_;
-  /// Default mode: queries shared, mutations exclusive. Sharded mode:
-  /// shared while pinning snapshots, exclusive only around the
-  /// pointer-swap commit.
+  /// Queries shared, mutations exclusive.
   mutable std::shared_mutex catalog_mu_;
-  /// Sharded mode: one writer lane per relation.
-  std::mutex write_states_mu_;
-  std::map<std::string, std::unique_ptr<RelationWriteState>> write_states_;
   /// Cumulative serving counters (StatsSnapshot); separate lock so the
   /// hot path never touches catalog_mu_ for bookkeeping.
   mutable std::mutex stats_mu_;

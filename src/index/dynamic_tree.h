@@ -38,9 +38,6 @@ class DynamicTreeIndex : public SpatialIndex {
   static constexpr std::uint32_t kNoNode = static_cast<std::uint32_t>(-1);
 
   DynamicTreeIndex() = default;
-  /// For the concrete trees' Clone(): CSR arrays are value state, so
-  /// the memberwise copy is a full deep copy.
-  DynamicTreeIndex(const DynamicTreeIndex&) = default;
 
   /// Derives parent_ / block_node_ from scratch after a (re)build and
   /// resets the dead-slot counter.

@@ -52,10 +52,6 @@ class GridIndex final : public SpatialIndex {
                                      ScanOrder order) const override;
   std::string Describe() const override;
   IndexType type() const override { return IndexType::kGrid; }
-  std::unique_ptr<SpatialIndex> Clone() const override {
-    return std::unique_ptr<SpatialIndex>(new GridIndex(*this));
-  }
-
   Status Insert(const Point& p) override;
   Status Erase(PointId id) override;
   Status BulkLoad(PointSet points) override;
@@ -67,9 +63,6 @@ class GridIndex final : public SpatialIndex {
   friend class GridBlockScan;
 
   GridIndex() = default;
-  /// Clone() only: all state is value members, so the memberwise copy
-  /// (fresh instance_id via the base) is a full deep copy.
-  GridIndex(const GridIndex&) = default;
 
   /// Cell coordinates of an arbitrary location, clamped into the grid.
   void CellOf(double x, double y, std::size_t* ci, std::size_t* cj) const;

@@ -5,7 +5,6 @@
 #include "src/index/grid_index.h"
 #include "src/index/quadtree_index.h"
 #include "src/index/rtree_index.h"
-#include "src/index/sharded_index.h"
 
 namespace knnq {
 
@@ -21,23 +20,8 @@ const char* ToString(IndexType type) {
   return "unknown";
 }
 
-const char* ToString(ShardPolicy policy) {
-  switch (policy) {
-    case ShardPolicy::kBisection:
-      return "bisection";
-    case ShardPolicy::kGrid:
-      return "grid";
-  }
-  return "unknown";
-}
-
 Result<std::unique_ptr<SpatialIndex>> BuildIndex(
     PointSet points, const IndexOptions& options) {
-  if (options.shards > 1) {
-    auto built = ShardedIndex::Build(std::move(points), options);
-    if (!built.ok()) return built.status();
-    return std::unique_ptr<SpatialIndex>(std::move(built.value()));
-  }
   switch (options.type) {
     case IndexType::kGrid: {
       GridOptions grid;

@@ -20,20 +20,6 @@ namespace knnq {
 /// Human-readable index type name ("grid", "quadtree", "rtree").
 const char* ToString(IndexType type);
 
-/// How a ShardedIndex partitions the plane across its shards.
-enum class ShardPolicy {
-  /// Recursive bisection by point count: repeatedly split the most
-  /// populated tile at its point-median along the wider axis. Balanced
-  /// shard sizes for any data distribution; the default.
-  kBisection,
-  /// A fixed rows x cols tiling of the build-time bounding box. Cheaper
-  /// to route, but skewed data skews shard sizes.
-  kGrid,
-};
-
-/// Human-readable shard policy name ("bisection", "grid").
-const char* ToString(ShardPolicy policy);
-
 /// Unified construction parameters; fields irrelevant to the selected
 /// type are ignored.
 struct IndexOptions {
@@ -50,15 +36,6 @@ struct IndexOptions {
 
   /// Grid cell cap per axis.
   std::size_t grid_max_cells_per_axis = 4096;
-
-  /// Spatial shards per relation. 1 builds a plain index (the
-  /// default); > 1 builds a ShardedIndex of that many `type`-structured
-  /// children partitioned by `shard_policy`. See
-  /// src/index/sharded_index.h.
-  std::size_t shards = 1;
-
-  /// Partitioning policy when shards > 1.
-  ShardPolicy shard_policy = ShardPolicy::kBisection;
 };
 
 /// Builds the configured index over a copy-by-value point set.

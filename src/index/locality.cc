@@ -53,7 +53,6 @@ void ComputeLocalityInto(const SpatialIndex& index, const Point& query,
     if (count >= k) {
       m = key;  // MAXDIST of the last block that completed the count.
     }
-    if (stats != nullptr) stats->shards_pruned += scan.shards_pruned();
     // Otherwise the whole index holds fewer than k points: every block
     // was popped and (subject to the threshold) added; M stays infinite
     // and phase 2 has nothing left to do.
@@ -75,7 +74,6 @@ void ComputeLocalityInto(const SpatialIndex& index, const Point& query,
     }
     locality.blocks.push_back(id);
   }
-  if (stats != nullptr) stats->shards_pruned += scan.shards_pruned();
 }
 
 }  // namespace knnq

@@ -58,11 +58,6 @@ struct SearchStats {
   /// High-water capacity (bytes) of the searcher's scratch arena; a
   /// gauge (latest value), not a counter.
   std::size_t arena_bytes = 0;
-  /// Shards whose distance lower bound exceeded the running search
-  /// bound, so their block scans were never even opened. Nonzero only
-  /// for sharded relations (BlockScan::shards_pruned); the partition
-  /// analog of blocks_skipped.
-  std::size_t shards_pruned = 0;
 
   void Reset() { *this = SearchStats{}; }
 };

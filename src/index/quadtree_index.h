@@ -49,10 +49,6 @@ class QuadtreeIndex final : public DynamicTreeIndex {
                                      ScanOrder order) const override;
   std::string Describe() const override;
   IndexType type() const override { return IndexType::kQuadtree; }
-  std::unique_ptr<SpatialIndex> Clone() const override {
-    return std::unique_ptr<SpatialIndex>(new QuadtreeIndex(*this));
-  }
-
   Status Insert(const Point& p) override;
   Status Erase(PointId id) override;
   Status BulkLoad(PointSet points) override;
@@ -61,7 +57,6 @@ class QuadtreeIndex final : public DynamicTreeIndex {
 
  private:
   QuadtreeIndex() = default;
-  QuadtreeIndex(const QuadtreeIndex&) = default;
 
   /// Recursively fills pre-allocated node slot `idx` with the subtree
   /// over points_[begin, end) covering `region`. Child slots are claimed

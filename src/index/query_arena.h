@@ -5,14 +5,14 @@
 // top-k heap, the batched-distance output, the locality phase-1 list
 // and the locality block set — lives here and is recycled between
 // queries: accessors clear contents but never shrink capacity. The
-// arena also holds the BlockScans locality construction runs, one per
-// scanned index, restarted per query (BlockScan::Restart) rather than
-// re-created. Buffers and scan heaps grow to a high-water mark over the
-// first few queries, after which a search allocates only the
-// Neighborhood it returns (tests/kernel_test.cc counts this).
+// arena also holds the BlockScan locality construction runs, restarted
+// per query (BlockScan::Restart) rather than re-created. Buffers and
+// the scan's heap grow to a high-water mark over the first few
+// queries, after which a search allocates only the Neighborhood it
+// returns (tests/kernel_test.cc counts this).
 //
 // `bytes()` reports the capacity footprint of the arena's own buffers
-// (not the held scans' heaps) so serving stats can surface how much
+// (not the held scan's heap) so serving stats can surface how much
 // scratch each worker retains.
 
 #ifndef KNNQ_SRC_INDEX_QUERY_ARENA_H_
@@ -52,13 +52,10 @@ class QueryArena {
     return phase1_;
   }
 
-  /// The held scan of slot `slot` (the searcher assigns one slot per
-  /// index it scans): empty until its first use, which creates it with
-  /// SpatialIndex::RestartScan; later uses restart it.
-  std::unique_ptr<BlockScan>& scan(std::size_t slot) {
-    if (scans_.size() <= slot) scans_.resize(slot + 1);
-    return scans_[slot];
-  }
+  /// The held scan of the searcher's index: empty until its first use,
+  /// which creates it with SpatialIndex::RestartScan; later uses
+  /// restart it.
+  std::unique_ptr<BlockScan>& scan() { return scan_; }
 
   /// Total bytes of buffer capacity currently retained.
   std::size_t bytes() const;
@@ -68,7 +65,7 @@ class QueryArena {
   std::vector<TopKEntry> heap_;
   std::vector<double> distances_;
   std::vector<BlockId> phase1_;
-  std::vector<std::unique_ptr<BlockScan>> scans_;
+  std::unique_ptr<BlockScan> scan_;
 };
 
 }  // namespace knnq

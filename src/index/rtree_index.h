@@ -47,10 +47,6 @@ class RTreeIndex final : public DynamicTreeIndex {
                                      ScanOrder order) const override;
   std::string Describe() const override;
   IndexType type() const override { return IndexType::kRTree; }
-  std::unique_ptr<SpatialIndex> Clone() const override {
-    return std::unique_ptr<SpatialIndex>(new RTreeIndex(*this));
-  }
-
   Status Insert(const Point& p) override;
   Status Erase(PointId id) override;
   Status BulkLoad(PointSet points) override;
@@ -59,7 +55,6 @@ class RTreeIndex final : public DynamicTreeIndex {
 
  private:
   RTreeIndex() = default;
-  RTreeIndex(const RTreeIndex&) = default;
 
   /// Rebuilds this object in place from `points` (fresh STR packing).
   Status Rebuild(PointSet points);

@@ -25,12 +25,6 @@ BlockScan& SpatialIndex::RestartScan(std::unique_ptr<BlockScan>* held,
   return **held;
 }
 
-bool SpatialIndex::HasPoint(PointId id) const {
-  BlockId block = kInvalidBlockId;
-  std::size_t pos = 0;
-  return FindPoint(id, &block, &pos);
-}
-
 Status ValidateInsertable(const Point& p) {
   if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
     return Status::InvalidArgument("point coordinates must be finite: " +

@@ -19,7 +19,6 @@
 #ifndef KNNQ_SRC_INDEX_SPATIAL_INDEX_H_
 #define KNNQ_SRC_INDEX_SPATIAL_INDEX_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -71,17 +70,9 @@ class BlockScan {
   /// Re-aims the scan at `query` in `order`, keeping its storage: from
   /// here on it yields exactly the (block, key) sequence a fresh
   /// NewScan(query, order) on the same index would, whatever was left
-  /// unpopped before, and shards_pruned() starts over. The index must
-  /// not have been mutated since the scan was created.
+  /// unpopped before. The index must not have been mutated since the
+  /// scan was created.
   virtual void Restart(const Point& query, ScanOrder order) = 0;
-
-  /// Shards whose blocks this scan never had to open because the scan
-  /// was abandoned before their distance lower bound came up. Only
-  /// ShardedIndex's merged scan reports a nonzero value; plain
-  /// structures have no shards to prune. Callers read this after
-  /// breaking out of a scan loop (locality construction does) and fold
-  /// it into SearchStats::shards_pruned.
-  virtual std::size_t shards_pruned() const { return 0; }
 };
 
 /// Columnar view of one block's point span: parallel x / y / id arrays
@@ -121,24 +112,15 @@ class SpatialIndex {
  public:
   virtual ~SpatialIndex() = default;
 
+  SpatialIndex(const SpatialIndex&) = delete;
   SpatialIndex& operator=(const SpatialIndex&) = delete;
 
   /// Process-unique identity of this index OBJECT (not its contents):
-  /// fresh at construction and after Clone, never reused for the
-  /// lifetime of the process. Caches key entries by this id instead of
-  /// the object's address, which copy-on-write mutation would otherwise
-  /// recycle (a freed index's address can be handed to a new index,
-  /// silently resurrecting its stale cache entries).
+  /// fresh at construction, never reused for the lifetime of the
+  /// process. Caches key entries by this id instead of the object's
+  /// address, which the allocator may hand to a later index (silently
+  /// resurrecting a destroyed index's stale cache entries).
   std::uint64_t instance_id() const { return instance_id_; }
-
-  /// True once a copy-on-write publish has replaced this object.
-  /// Readers pinned on it may still run, but nothing new can reach it,
-  /// so caches refuse entries keyed by it. Set once, never cleared;
-  /// a Clone starts unretired.
-  bool retired() const { return retired_.load(std::memory_order_relaxed); }
-  void MarkRetired() const {
-    retired_.store(true, std::memory_order_relaxed);
-  }
 
   /// Number of (non-empty) blocks.
   std::size_t num_blocks() const { return blocks_.size(); }
@@ -183,24 +165,13 @@ class SpatialIndex {
   /// Bounding box of the indexed data.
   const BoundingBox& bounds() const { return bounds_; }
 
-  /// True when a point with id `id` is indexed. The public face of
-  /// FindPoint, used by shard routing to decide which shard owns an
-  /// erase target.
-  bool HasPoint(PointId id) const;
-
   /// Returns the block that stores indexed point `p` (matched by
   /// location, and by id where regions can overlap), or kInvalidBlockId
   /// if `p` is not in the index.
   virtual BlockId Locate(const Point& p) const = 0;
 
-  /// The structure this index implements (grid / quadtree / rtree). A
-  /// ShardedIndex reports its children's structure.
+  /// The structure this index implements (grid / quadtree / rtree).
   virtual IndexType type() const = 0;
-
-  /// Deep copy with a fresh instance_id(). The clone is fully
-  /// independent: mutating it never touches the original — the
-  /// primitive copy-on-write shard replacement builds on.
-  virtual std::unique_ptr<SpatialIndex> Clone() const = 0;
 
   /// Starts a lazy block scan ordered by `order` from `query`.
   virtual std::unique_ptr<BlockScan> NewScan(const Point& query,
@@ -238,18 +209,6 @@ class SpatialIndex {
 
  protected:
   SpatialIndex() = default;
-
-  /// Copies the shared storage but assigns a FRESH instance_id — a
-  /// clone is a different cache identity by design. Protected so only
-  /// Clone() implementations (via the derived classes' defaulted copy
-  /// constructors) can reach it.
-  SpatialIndex(const SpatialIndex& other)
-      : points_(other.points_),
-        blocks_(other.blocks_),
-        bounds_(other.bounds_),
-        xs_(other.xs_),
-        ys_(other.ys_),
-        ids_(other.ids_) {}
 
   /// Moves the shared storage out of `other` (BulkLoad implementations
   /// rebuild into a scratch index, then adopt its state).
@@ -307,7 +266,6 @@ class SpatialIndex {
   static std::uint64_t NextInstanceId();
 
   const std::uint64_t instance_id_ = NextInstanceId();
-  mutable std::atomic<bool> retired_{false};
 };
 
 /// Shared argument validation for Insert implementations: rejects NaN

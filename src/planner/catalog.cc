@@ -109,26 +109,8 @@ Result<MutationOutcome> Catalog::LoadRelation(const std::string& name,
                          .index = rel.index.get()};
 }
 
-Result<MutationOutcome> Catalog::ReplaceIndex(
-    const std::string& name, std::shared_ptr<SpatialIndex> index,
-    PointId next_id, std::size_t rows_affected) {
-  if (index == nullptr) {
-    return Status::InvalidArgument("ReplaceIndex: null index");
-  }
-  auto relation = GetMutable(name);
-  if (!relation.ok()) return relation.status();
-  Relation& rel = **relation;
-  rel.index = std::move(index);
-  rel.next_id = next_id;
-  ++rel.generation;
-  ++generation_;
-  return MutationOutcome{.rows_affected = rows_affected,
-                         .generation = rel.generation,
-                         .index = rel.index.get()};
-}
-
 Status Catalog::AdoptRelation(const std::string& name,
-                              std::shared_ptr<SpatialIndex> index,
+                              std::unique_ptr<SpatialIndex> index,
                               PointId next_id) {
   if (name.empty()) {
     return Status::InvalidArgument("relation name must not be empty");

@@ -11,8 +11,9 @@
 // per relation instead of wholesale — plus the catalog-wide generation.
 //
 // The catalog itself does no locking. QueryEngine wraps every mutation
-// in its writer lock and every query in a reader lock; standalone users
-// must serialize writes against all reads themselves.
+// in its writer lock and every query in a reader lock, so a mutation
+// changes an index in place while no query runs; standalone users must
+// serialize writes against all reads themselves.
 
 #ifndef KNNQ_SRC_PLANNER_CATALOG_H_
 #define KNNQ_SRC_PLANNER_CATALOG_H_
@@ -33,13 +34,10 @@ namespace knnq {
 /// A registered relation.
 struct Relation {
   std::string name;
-  /// Shared so readers can PIN a snapshot (copy the pointer under the
-  /// engine's read lock, then execute against it lock-free) while a
-  /// copy-on-write commit republishes the relation with ReplaceIndex.
-  /// The legacy in-place mutation paths (Mutate / LoadRelation) keep
-  /// mutating the SAME object — safe only under the historical
-  /// writer-excludes-all-readers locking.
-  std::shared_ptr<SpatialIndex> index;
+  /// The relation's one index. Mutate and LoadRelation change this
+  /// object in place (it is never replaced), so its instance_id() keys
+  /// the relation's cache entries for the catalog's whole life.
+  std::unique_ptr<SpatialIndex> index;
   /// Bumped by every mutation of THIS relation (and by its creation).
   /// Caches keyed by relation identity compare this to invalidate only
   /// what actually changed.
@@ -49,8 +47,7 @@ struct Relation {
   /// The log sequence number of the last durable write applied to this
   /// relation. 0 until the durability layer stamps one; the snapshot
   /// writer persists it so recovery knows which WAL records are
-  /// already reflected. Preserved across ReplaceIndex (the index swap
-  /// is an implementation detail of the same logical relation).
+  /// already reflected.
   std::uint64_t last_lsn = 0;
 };
 
@@ -107,22 +104,11 @@ class Catalog {
                                        PointSet points,
                                        const IndexOptions& options = {});
 
-  /// The copy-on-write commit: publishes `index` as relation `name`'s
-  /// index in one pointer swap — the old index object stays alive for
-  /// as long as any reader pins it. Sets next_id (callers own the id
-  /// sequence: mutation commits pass a monotone value, LOAD resets)
-  /// and bumps both generations. `rows_affected` is echoed into the
-  /// outcome.
-  Result<MutationOutcome> ReplaceIndex(const std::string& name,
-                                       std::shared_ptr<SpatialIndex> index,
-                                       PointId next_id,
-                                       std::size_t rows_affected);
-
   /// Registers a new relation that adopts a pre-built `index` wholesale
-  /// (the copy-on-write analog of AddRelation). Fails on a duplicate or
-  /// empty name or a null index.
+  /// (recovery rebuilds snapshot relations this way). Fails on a
+  /// duplicate or empty name or a null index.
   Status AdoptRelation(const std::string& name,
-                       std::shared_ptr<SpatialIndex> index, PointId next_id);
+                       std::unique_ptr<SpatialIndex> index, PointId next_id);
 
   /// Records that relation `name` reflects every durable write up to
   /// and including `lsn`. No generation bump: the stamp is recovery

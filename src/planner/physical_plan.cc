@@ -35,7 +35,7 @@ Result<QueryOutput> Evaluate(Algorithm algorithm, const PlanQuery& query,
           std::get<SelectInnerJoinQuery>(query), nullptr, stats, cache));
     case Algorithm::kSelectInnerJoinBlockMarking:
       return Wrap(SelectInnerJoinBlockMarking(
-          std::get<SelectInnerJoinQuery>(query), PreprocessMode::kContour,
+          std::get<SelectInnerJoinQuery>(query), PreprocessMode::kExhaustive,
           nullptr, ProbePoint::kCenter, stats, cache));
     case Algorithm::kSelectOuterJoinPushed:
       return Wrap(SelectOuterJoinPushed(
@@ -76,7 +76,7 @@ Result<QueryOutput> Evaluate(Algorithm algorithm, const PlanQuery& query,
     case Algorithm::kRangeInnerJoinBlockMarking:
       return Wrap(RangeSelectInnerJoinBlockMarking(
           std::get<RangeSelectInnerJoinQuery>(query),
-          PreprocessMode::kContour, nullptr, stats, cache));
+          PreprocessMode::kExhaustive, nullptr, stats, cache));
   }
   return Status::Internal("unknown algorithm");
 }
@@ -122,10 +122,6 @@ std::string PhysicalPlan::Explain(const ExecStats* stats) const {
   out << "Query: " << query_text_ << "\n";
   out << "Plan:  " << ToString(algorithm_);
   if (algorithm_ == Algorithm::kChainedNestedJoin) out << " [cached]";
-  if (algorithm_ == Algorithm::kSelectInnerJoinBlockMarking ||
-      algorithm_ == Algorithm::kRangeInnerJoinBlockMarking) {
-    out << " [contour]";
-  }
   if (swapped_) out << " [joins reordered]";
   out << "\n";
   if (!rationale_.empty()) out << "Why:   " << rationale_ << "\n";

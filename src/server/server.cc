@@ -41,8 +41,6 @@ std::string EngineStatsJson(const EngineStatsSnapshot& snapshot) {
          std::to_string(snapshot.totals.neighborhoods_computed) +
          ", \"candidates_pruned\": " +
          std::to_string(snapshot.totals.candidates_pruned) +
-         ", \"shards_pruned\": " +
-         std::to_string(snapshot.totals.shards_pruned) +
          ", \"arena_bytes\": " +
          std::to_string(snapshot.totals.arena_bytes) + "}";
 }
@@ -185,10 +183,6 @@ Server::Server(QueryEngine* engine, ServerOptions options)
       "knnq_engine_candidates_pruned_total",
       "Join candidates pruned by locality filters.",
       total_counter(&ExecStats::candidates_pruned));
-  registry_.RegisterCallbackCounter(
-      "knnq_engine_shards_pruned_total",
-      "Shards skipped by scatter-gather pruning.",
-      total_counter(&ExecStats::shards_pruned));
 
   if (const NeighborhoodCache* cache = engine_->neighborhood_cache();
       cache != nullptr) {
@@ -541,8 +535,7 @@ std::string Server::RenderStatusz() const {
          ", \"pool\": {\"threads\": " +
          std::to_string(engine_->num_threads()) +
          ", \"queue_depth\": " +
-         std::to_string(engine_->pool_queue_depth()) +
-         ", \"shards\": " + std::to_string(engine_->shards()) + "}" +
+         std::to_string(engine_->pool_queue_depth()) + "}" +
          ", \"cache\": " + CacheStatsJson(engine_->neighborhood_cache()) +
          ", \"wal\": " +
          (options_.wal_status != nullptr ? options_.wal_status()

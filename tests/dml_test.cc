@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
@@ -376,6 +377,48 @@ TEST(CatalogMutationTest, AssignsIdsAndBumpsGenerationsPerRelation) {
   EXPECT_TRUE(catalog.Has("fresh"));
 }
 
+TEST(EngineDmlTest, FailedBatchKeepsItsAppliedPrefix) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .AddRelation("a", MakeUniform(300, 11, 0),
+                               SmallBlocks(IndexType::kGrid))
+                  .ok());
+  EngineOptions options = WithThreads(1);
+  options.cache_mb = 4;
+  QueryEngine engine(std::move(catalog), options);
+  const QuerySpec near_inserts = TwoSelectsSpec{
+      .relation = "a",
+      .s1 = {.focal = {.id = -1, .x = 30, .y = 60}, .k = 5},
+      .s2 = {.focal = {.id = -1, .x = 40, .y = 80}, .k = 8}};
+  ASSERT_TRUE(engine.Run(near_inserts).ok());  // Warm the cache.
+  const Relation& before = **engine.catalog().Get("a");
+  const std::size_t points_before = before.index->num_points();
+  const std::uint64_t generation_before = before.generation;
+
+  // The ninth op is invalid (non-finite coordinate): the batch fails,
+  // and the eight rows before it stay applied, as Catalog::Mutate
+  // applies them.
+  std::vector<MutationOp> ops;
+  for (int i = 0; i < 8; ++i) {
+    ops.push_back(MutationOp::Insert(10.0 * i, 20.0 * i));
+  }
+  ops.push_back(
+      MutationOp::Insert(std::numeric_limits<double>::quiet_NaN(), 1));
+  const EngineResult result =
+      engine.ExecuteDml(DmlRequest::MutateOps("a", ops));
+  EXPECT_FALSE(result.ok());
+  const Relation& after = **engine.catalog().Get("a");
+  EXPECT_EQ(after.index->num_points(), points_before + 8);
+  EXPECT_GT(after.generation, generation_before);
+
+  // The applied prefix invalidated the warm entries: the query sees it.
+  const EngineResult rerun = engine.Run(near_inserts);
+  ASSERT_TRUE(rerun.ok());
+  EXPECT_EQ(rerun.output,
+            QueryOutput(RefTwoSelects(after.index->points(), {-1, 30, 60},
+                                      5, {-1, 40, 80}, 8)));
+}
+
 // --- Per-relation cache invalidation (the regression the satellite
 // demands: updating A keeps B's neighborhoods hot) ---
 
@@ -435,9 +478,9 @@ TEST(PerRelationInvalidationTest, MutatingOneRelationKeepsOthersHot) {
   EXPECT_GT(stats.invalidated, 0u);
 }
 
-// --- Concurrent readers vs. Mutate: what TSan watches ---
+// --- Concurrent readers vs. writers: what TSan watches ---
 
-TEST(ConcurrentMutationTest, ReadersRaceOneWriterSafely) {
+TEST(ConcurrentMutationTest, ReadersRaceWritersSafely) {
   std::vector<Shadow> shadows = {
       {"A", MakeUniform(300, 31, 0)},
       {"B", MakeCity(300, 32, 100000)},
@@ -468,36 +511,58 @@ TEST(ConcurrentMutationTest, ReadersRaceOneWriterSafely) {
     });
   }
 
-  // Keep writing for as long as the readers are querying (and at least
-  // a few batches), so reads and writes genuinely interleave.
-  std::mt19937_64 rng(777);
-  std::uniform_real_distribution<double> coord(0.0, 1000.0);
-  PointId next_id = 900000;
-  for (int batch = 0; batch < 30 || readers_active.load() > 0; ++batch) {
-    Shadow& shadow = shadows[batch % shadows.size()];
-    std::vector<MutationOp> ops;
-    for (int i = 0; i < 8; ++i) {
-      if (shadow.truth.empty() || rng() % 100 < 60) {
-        const Point p{next_id++, coord(rng), coord(rng) * 0.8};
-        shadow.truth.push_back(p);
-        ops.push_back(
-            MutationOp{.kind = MutationOp::Kind::kInsert, .point = p});
-      } else {
-        const std::size_t victim = rng() % shadow.truth.size();
-        ops.push_back(MutationOp::Erase(shadow.truth[victim].id));
-        shadow.truth.erase(shadow.truth.begin() +
-                           static_cast<std::ptrdiff_t>(victim));
+  // Two writers on distinct relations (one moves A and C, the other B;
+  // each owns its relations' shadows) keep writing for as long as the
+  // readers are querying (and at least a few batches), so reads and
+  // writes genuinely interleave.
+  const std::vector<std::vector<std::size_t>> lanes = {{0, 2}, {1}};
+  std::atomic<std::size_t> write_errors{0};
+  std::vector<std::thread> writers;
+  for (std::size_t w = 0; w < lanes.size(); ++w) {
+    writers.emplace_back([&, w] {
+      std::mt19937_64 rng(777 + w);
+      std::uniform_real_distribution<double> coord(0.0, 1000.0);
+      PointId next_id = 900000 + static_cast<PointId>(w) * 100000;
+      for (int batch = 0; batch < 30 || readers_active.load() > 0;
+           ++batch) {
+        Shadow& shadow = shadows[lanes[w][batch % lanes[w].size()]];
+        std::vector<MutationOp> ops;
+        for (int i = 0; i < 8; ++i) {
+          if (shadow.truth.empty() || rng() % 100 < 60) {
+            const Point p{next_id++, coord(rng), coord(rng) * 0.8};
+            shadow.truth.push_back(p);
+            ops.push_back(
+                MutationOp{.kind = MutationOp::Kind::kInsert, .point = p});
+          } else {
+            const std::size_t victim = rng() % shadow.truth.size();
+            ops.push_back(MutationOp::Erase(shadow.truth[victim].id));
+            shadow.truth.erase(shadow.truth.begin() +
+                               static_cast<std::ptrdiff_t>(victim));
+          }
+        }
+        if (!engine.ExecuteDml(DmlRequest::MutateOps(shadow.name, ops))
+                 .ok()) {
+          ++write_errors;
+        }
       }
-    }
-    const EngineResult applied =
-        engine.ExecuteDml(DmlRequest::MutateOps(shadow.name, ops));
-    ASSERT_TRUE(applied.ok()) << applied.status.ToString();
+    });
   }
   for (std::thread& reader : readers) reader.join();
+  for (std::thread& writer : writers) writer.join();
   EXPECT_EQ(queries_ok.load(), 2 * kReaderRounds * 6);
+  EXPECT_EQ(write_errors.load(), 0u);
+
+  // Every cache entry is keyed by a live relation: once every current
+  // relation's entries are dropped, nothing is left.
+  NeighborhoodCache& cache = *engine.neighborhood_cache();
+  for (const std::string& name : engine.catalog().Names()) {
+    cache.InvalidateRelation((*engine.catalog().Get(name))->index.get());
+  }
+  EXPECT_EQ(cache.GetStats().entries, 0u);
+  EXPECT_EQ(cache.size_bytes(), 0u);
 
   // After the dust settles, the engine agrees with a rebuild of the
-  // shadow truth — the writer was the only mutator.
+  // shadow truth — the writers were the only mutators.
   QueryEngine rebuilt(CatalogFrom(shadows, IndexType::kGrid),
                       WithThreads(1));
   for (const QuerySpec& spec : SixShapes(0, 0, 3)) {

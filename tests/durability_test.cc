@@ -12,9 +12,6 @@
 //     the recovered engine against a twin replaying ops 1..last_lsn.
 //     Single-writer determinism makes the twin exact: generated op k
 //     commits as LSN k, so recovery to LSN L means state(ops 1..L).
-//
-// Both differentials run sharded and unsharded (the COW and legacy
-// write paths hit different WalSink call sites).
 
 #include <signal.h>
 #include <sys/stat.h>
@@ -164,10 +161,9 @@ Catalog SeedRelations() {
   return catalog;
 }
 
-EngineOptions DurableEngineOptions(std::size_t shards, WalSink* wal) {
+EngineOptions DurableEngineOptions(WalSink* wal) {
   EngineOptions options;
   options.num_threads = 1;
-  options.index_options.shards = shards;
   options.wal = wal;
   return options;
 }
@@ -368,23 +364,17 @@ TEST(SnapshotTest, CorruptionIsRefusedNamingTheFile) {
 // ------------------------------------------- recovery differentials
 
 /// Applies ops 1..upto to a WAL-free twin over the same seed catalog.
-std::unique_ptr<QueryEngine> BuildTwin(std::size_t shards,
-                                       std::uint64_t upto) {
-  auto twin = std::make_unique<QueryEngine>(
-      SeedRelations(), DurableEngineOptions(shards, nullptr));
+std::unique_ptr<QueryEngine> BuildTwin(std::uint64_t upto) {
+  auto twin = std::make_unique<QueryEngine>(SeedRelations(),
+                                            DurableEngineOptions(nullptr));
   for (std::uint64_t k = 1; k <= upto; ++k) {
     (void)twin->ExecuteDml(ChurnOp(k));
   }
   return twin;
 }
 
-class RecoveryDifferentialTest
-    : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(RecoveryDifferentialTest, GracefulRestartMatchesTwin) {
-  const std::size_t shards = GetParam();
-  const std::string dir =
-      FreshDataDir("graceful_" + std::to_string(shards));
+TEST(RecoveryDifferentialTest, GracefulRestartMatchesTwin) {
+  const std::string dir = FreshDataDir("graceful");
   constexpr std::uint64_t kOps = 48;
 
   DurabilityOptions options;
@@ -394,7 +384,7 @@ TEST_P(RecoveryDifferentialTest, GracefulRestartMatchesTwin) {
     auto manager = DurabilityManager::Open(options);
     ASSERT_TRUE(manager.ok()) << manager.status().ToString();
     QueryEngine engine(SeedRelations(),
-                       DurableEngineOptions(shards, manager->get()));
+                       DurableEngineOptions(manager->get()));
     auto report = (*manager)->Recover(&engine);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_FALSE(report->from_snapshot);  // First boot: baseline cut.
@@ -402,11 +392,9 @@ TEST_P(RecoveryDifferentialTest, GracefulRestartMatchesTwin) {
       (void)engine.ExecuteDml(ChurnOp(k));
     }
     // Mid-run manual snapshot: recovery must compose snapshot + tail.
-    if (shards == 1) {
-      auto cut = (*manager)->Snapshot(&engine);
-      ASSERT_TRUE(cut.ok()) << cut.status().ToString();
-      EXPECT_EQ(*cut, kOps);
-    }
+    auto cut = (*manager)->Snapshot(&engine);
+    ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+    EXPECT_EQ(*cut, kOps);
     for (std::uint64_t k = kOps + 1; k <= kOps + 16; ++k) {
       (void)engine.ExecuteDml(ChurnOp(k));
     }
@@ -417,20 +405,19 @@ TEST_P(RecoveryDifferentialTest, GracefulRestartMatchesTwin) {
   Catalog recovered_catalog;
   ASSERT_TRUE((*manager)->SeedCatalog(&recovered_catalog).ok());
   QueryEngine recovered(std::move(recovered_catalog),
-                        DurableEngineOptions(shards, manager->get()));
+                        DurableEngineOptions(manager->get()));
   auto report = (*manager)->Recover(&recovered);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->from_snapshot);
   EXPECT_EQ(report->last_lsn, kOps + 16);
   EXPECT_FALSE(report->wal_truncated);
 
-  auto twin = BuildTwin(shards, kOps + 16);
+  auto twin = BuildTwin(kOps + 16);
   ExpectEnginesAgree(recovered, *twin);
 }
 
-TEST_P(RecoveryDifferentialTest, KillMidChurnMatchesTwin) {
-  const std::size_t shards = GetParam();
-  const std::string dir = FreshDataDir("kill_" + std::to_string(shards));
+TEST(RecoveryDifferentialTest, KillMidChurnMatchesTwin) {
+  const std::string dir = FreshDataDir("kill");
   DurabilityOptions options;
   options.data_dir = dir;
   options.sync = WalSyncPolicy::kAlways;
@@ -444,7 +431,7 @@ TEST_P(RecoveryDifferentialTest, KillMidChurnMatchesTwin) {
     auto manager = DurabilityManager::Open(options);
     if (!manager.ok()) _exit(2);
     QueryEngine engine(SeedRelations(),
-                       DurableEngineOptions(shards, manager->get()));
+                       DurableEngineOptions(manager->get()));
     if (!(*manager)->Recover(&engine).ok()) _exit(3);
     for (std::uint64_t k = 1; k <= 200000; ++k) {
       (void)engine.ExecuteDml(ChurnOp(k));
@@ -466,7 +453,7 @@ TEST_P(RecoveryDifferentialTest, KillMidChurnMatchesTwin) {
   Catalog recovered_catalog;
   ASSERT_TRUE((*manager)->SeedCatalog(&recovered_catalog).ok());
   QueryEngine recovered(std::move(recovered_catalog),
-                        DurableEngineOptions(shards, manager->get()));
+                        DurableEngineOptions(manager->get()));
   auto report = (*manager)->Recover(&recovered);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->from_snapshot);  // The baseline from first boot.
@@ -474,13 +461,9 @@ TEST_P(RecoveryDifferentialTest, KillMidChurnMatchesTwin) {
 
   // Single writer: generated op k committed as LSN k, so the twin
   // replays exactly ops 1..last_lsn.
-  auto twin = BuildTwin(shards, report->last_lsn);
+  auto twin = BuildTwin(report->last_lsn);
   ExpectEnginesAgree(recovered, *twin);
 }
-
-INSTANTIATE_TEST_SUITE_P(ShardSweep, RecoveryDifferentialTest,
-                         ::testing::Values(std::size_t{1},
-                                           std::size_t{4}));
 
 // ------------------------------------------------------ auto-snapshot
 
@@ -494,7 +477,7 @@ TEST(DurabilityManagerTest, AutoSnapshotCutsAtTheIntervalAndRecovers) {
     auto manager = DurabilityManager::Open(options);
     ASSERT_TRUE(manager.ok());
     QueryEngine engine(SeedRelations(),
-                       DurableEngineOptions(1, manager->get()));
+                       DurableEngineOptions(manager->get()));
     ASSERT_TRUE((*manager)->Recover(&engine).ok());
     for (std::uint64_t k = 1; k <= 12; ++k) {
       (void)engine.ExecuteDml(ChurnOp(k));
@@ -515,13 +498,13 @@ TEST(DurabilityManagerTest, AutoSnapshotCutsAtTheIntervalAndRecovers) {
   Catalog catalog;
   ASSERT_TRUE((*manager)->SeedCatalog(&catalog).ok());
   QueryEngine recovered(std::move(catalog),
-                        DurableEngineOptions(1, manager->get()));
+                        DurableEngineOptions(manager->get()));
   auto report = (*manager)->Recover(&recovered);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->snapshot_lsn, 10u);
   EXPECT_EQ(report->replayed_records, 2u);
   EXPECT_EQ(report->last_lsn, 12u);
-  auto twin = BuildTwin(1, 12);
+  auto twin = BuildTwin(12);
   ExpectEnginesAgree(recovered, *twin);
 }
 

@@ -1,9 +1,14 @@
 // Engine-layer tests: QueryEngine batch-vs-serial equivalence over
-// every query shape, per-query error isolation, and the guarantee that
-// every src/core evaluator reports non-zero ExecStats.
+// every query shape, per-query error isolation, the cache knob, the
+// default plans' rows on the layout that broke the contour stop, and
+// the guarantee that every src/core evaluator reports non-zero
+// ExecStats.
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -15,6 +20,7 @@
 #include "src/core/select_outer_join.h"
 #include "src/core/two_selects.h"
 #include "src/core/unchained_joins.h"
+#include "src/engine/neighborhood_cache.h"
 #include "src/engine/query_engine.h"
 #include "tests/test_util.h"
 
@@ -174,6 +180,85 @@ TEST(QueryEngineTest, ExplainSurfacesExecStats) {
   EXPECT_GT(result.stats.wall_seconds, 0.0);
 }
 
+TEST(QueryEngineTest, CacheKnobSizesTheEngineCache) {
+  EngineOptions options;
+  options.cache_mb = 8;
+  const QueryEngine engine(MakeCatalog(), options);
+  EXPECT_EQ(engine.options().cache_mb, 8u);
+  ASSERT_NE(engine.neighborhood_cache(), nullptr);
+  EXPECT_EQ(engine.neighborhood_cache()->capacity_bytes(), 8u << 20);
+
+  EngineOptions off;
+  const QueryEngine uncached(MakeCatalog(), off);
+  EXPECT_EQ(uncached.neighborhood_cache(), nullptr);
+}
+
+TEST(QueryEngineTest, CacheKnobSaturatesInsteadOfWrapping) {
+  // 2^44 MiB is 2^64 bytes: a shift would wrap it to a 0-byte cache
+  // that never hits. The engine saturates to SIZE_MAX instead.
+  EngineOptions options;
+  options.num_threads = 1;
+  options.cache_mb = std::size_t{1} << 44;
+  const QueryEngine engine(MakeCatalog(), options);
+  ASSERT_NE(engine.neighborhood_cache(), nullptr);
+  EXPECT_EQ(engine.neighborhood_cache()->capacity_bytes(), SIZE_MAX);
+  const QuerySpec spec = MixedSpecs(1).front();
+  ASSERT_TRUE(engine.Run(spec).ok());
+  const EngineResult warm = engine.Run(spec);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_GT(warm.stats.cache_hits, 0u);
+  EXPECT_GT(warm.stats.cache_bytes, 0u);
+
+  // The largest budget that fits is taken exactly.
+  EngineOptions largest;
+  largest.cache_mb = SIZE_MAX >> 20;
+  const QueryEngine exact(MakeCatalog(), largest);
+  ASSERT_NE(exact.neighborhood_cache(), nullptr);
+  EXPECT_EQ(exact.neighborhood_cache()->capacity_bytes(),
+            (SIZE_MAX >> 20) << 20);
+}
+
+// DESIGN.md note 3's layout at full size: 70,003 cars reach the
+// planner's size cutoff, so the default plan for both inner filters is
+// Block-Marking, and it must return the 9 rows the naive plans return.
+TEST(QueryEngineTest, DefaultBlockMarkingPlanKeepsEveryRow) {
+  const testing::FarCarsLayout layout =
+      testing::MakeFarCarsLayout(70000, /*seed=*/73);
+  const auto make_catalog = [&layout] {
+    Catalog catalog;
+    EXPECT_TRUE(catalog.AddRelation("cars", layout.cars).ok());
+    EXPECT_TRUE(catalog.AddRelation("shops", layout.shops).ok());
+    return catalog;
+  };
+  const QueryEngine engine(make_catalog(), WithThreads(1));
+  EngineOptions naive_options = WithThreads(1);
+  naive_options.planner.force_naive = true;
+  const QueryEngine naive(make_catalog(), naive_options);
+
+  const std::vector<std::pair<QuerySpec, Algorithm>> cases = {
+      {SelectInnerJoinSpec{
+           .outer = "cars",
+           .inner = "shops",
+           .join_k = 3,
+           .select = {.focal = {.id = -1, .x = 500, .y = 400}, .k = 3}},
+       Algorithm::kSelectInnerJoinBlockMarking},
+      {RangeInnerJoinSpec{.outer = "cars",
+                          .inner = "shops",
+                          .join_k = 3,
+                          .range = BoundingBox(499, 399, 502, 402)},
+       Algorithm::kRangeInnerJoinBlockMarking},
+  };
+  for (const auto& [spec, algorithm] : cases) {
+    const EngineResult planned = engine.Run(spec);
+    const EngineResult expected = naive.Run(spec);
+    ASSERT_TRUE(planned.ok()) << planned.status.ToString();
+    ASSERT_TRUE(expected.ok()) << expected.status.ToString();
+    EXPECT_EQ(planned.algorithm, algorithm) << planned.explain;
+    EXPECT_EQ(std::get<JoinResult>(expected.output).size(), 9u);
+    EXPECT_EQ(planned.output, expected.output) << planned.explain;
+  }
+}
+
 // --- Every src/core evaluator reports non-zero ExecStats. ---
 
 class EvaluatorStatsTest : public ::testing::Test {
@@ -214,7 +299,7 @@ TEST_F(EvaluatorStatsTest, SelectInnerJoinFamilyReportsStats) {
   ExecStats naive, counting, marking;
   ASSERT_TRUE(SelectInnerJoinNaive(query, nullptr, &naive).ok());
   ASSERT_TRUE(SelectInnerJoinCounting(query, nullptr, &counting).ok());
-  ASSERT_TRUE(SelectInnerJoinBlockMarking(query, PreprocessMode::kContour,
+  ASSERT_TRUE(SelectInnerJoinBlockMarking(query, PreprocessMode::kExhaustive,
                                           nullptr, ProbePoint::kCenter,
                                           &marking)
                   .ok());
@@ -236,7 +321,7 @@ TEST_F(EvaluatorStatsTest, RangeInnerJoinFamilyReportsStats) {
   ASSERT_TRUE(RangeSelectInnerJoinNaive(query, nullptr, &naive).ok());
   ASSERT_TRUE(RangeSelectInnerJoinCounting(query, nullptr, &counting).ok());
   ASSERT_TRUE(RangeSelectInnerJoinBlockMarking(
-                  query, PreprocessMode::kContour, nullptr, &marking)
+                  query, PreprocessMode::kExhaustive, nullptr, &marking)
                   .ok());
   EXPECT_FALSE(naive.empty());
   EXPECT_FALSE(counting.empty());

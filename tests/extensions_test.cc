@@ -102,10 +102,6 @@ INSTANTIATE_TEST_SUITE_P(
         RangeCase{IndexType::kRTree, 3, BoundingBox(600, 200, 900, 500),
                   JoinLayout::kSelfJoin},
         RangeCase{IndexType::kGrid, 2, BoundingBox(600, 200, 900, 500),
-                  JoinLayout::kShards4},
-        RangeCase{IndexType::kQuadtree, 2, BoundingBox(100, 100, 300, 250),
-                  JoinLayout::kShards4},
-        RangeCase{IndexType::kGrid, 2, BoundingBox(600, 200, 900, 500),
                   JoinLayout::kZeroWidthOuter},
         RangeCase{IndexType::kRTree, 2, BoundingBox(100, 100, 300, 250),
                   JoinLayout::kZeroWidthOuter},

@@ -338,18 +338,13 @@ TEST(ArenaTest, FootprintIsStableAcrossRepeatedQueries) {
 
 // --- Allocations: held scans are restarted, not re-created ---
 
-/// Every structure, plus a sharded grid (whose merged scan holds one
-/// child scan per shard).
+/// Every structure over `points`.
 std::vector<std::unique_ptr<SpatialIndex>> AllocationIndexes(
     const PointSet& points) {
   std::vector<std::unique_ptr<SpatialIndex>> indexes;
   for (const IndexType type : AllIndexTypes()) {
     indexes.push_back(MakeIndex(points, type));
   }
-  IndexOptions sharded;
-  sharded.block_capacity = 16;
-  sharded.shards = 4;
-  indexes.push_back(std::move(BuildIndex(points, sharded)).value());
   return indexes;
 }
 

@@ -14,7 +14,6 @@
 #include <limits>
 #include <list>
 #include <map>
-#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -234,34 +233,6 @@ TEST(NeighborhoodCacheTest, PerRelationInvalidationDropsOnlyThatRelation) {
   EXPECT_EQ(cache.GetStats().entries, 1u);
 }
 
-TEST(NeighborhoodCacheTest, RetiredRelationRefusesInserts) {
-  const auto index = MakeIndex(MakeUniform(200, 44));
-  NeighborhoodCache cache;
-  CachingKnnSearcher searcher(*index, &cache);
-  const Point q{.id = -1, .x = 500, .y = 400};
-  const Neighborhood nbr = searcher.GetKnn(q, 3);
-  ASSERT_EQ(cache.GetStats().entries, 1u);
-
-  // Retiring drops the entries; a reader still pinned on the retired
-  // object keeps searching it, but nothing it computes is cached.
-  cache.RetireRelation(index.get());
-  EXPECT_TRUE(index->retired());
-  EXPECT_EQ(cache.size_bytes(), 0u);
-  EXPECT_EQ(searcher.GetKnn(q, 3), nbr);
-  cache.Insert(index.get(), q, 3, nbr);
-  EXPECT_EQ(cache.size_bytes(), 0u);
-  EXPECT_EQ(cache.GetStats().entries, 0u);
-  Neighborhood out;
-  EXPECT_FALSE(cache.Lookup(index.get(), q, 3, &out));
-
-  // The replacement, a clone, starts unretired and caches normally.
-  const auto clone = index->Clone();
-  EXPECT_FALSE(clone->retired());
-  cache.Insert(clone.get(), q, 3, nbr);
-  ASSERT_TRUE(cache.Lookup(clone.get(), q, 3, &out));
-  EXPECT_EQ(out, nbr);
-}
-
 // --- Reference model: the same semantics kept the obvious way ---
 
 /// (relation instance id, x bits, y bits, k): the cache keys
@@ -277,10 +248,9 @@ ModelKey KeyOf(const SpatialIndex& relation, const Point& query,
 
 /// The documented NeighborhoodCache semantics as a list + map LRU per
 /// shard: refresh on a hit and on a duplicate insert, oversize drop,
-/// LRU-first eviction under capacity / shards, per-relation and
-/// generation invalidation, and retirement (drop, then refuse every
-/// later insert). Shard assignment and entry charges are supplied by
-/// the caller, measured on the real cache.
+/// LRU-first eviction under capacity / shards, and per-relation and
+/// generation invalidation. Shard assignment and entry charges are
+/// supplied by the caller, measured on the real cache.
 class ReferenceCache {
  public:
   ReferenceCache(std::size_t shards, std::size_t shard_capacity)
@@ -302,7 +272,6 @@ class ReferenceCache {
   void Insert(std::size_t shard, const ModelKey& key,
               const Neighborhood& value, std::size_t cost) {
     if (cost > shard_capacity_) return;
-    if (retired_.count(std::get<0>(key)) != 0) return;
     Shard& s = shards_[shard];
     if (const auto it = s.map.find(key); it != s.map.end()) {
       s.lru.splice(s.lru.begin(), s.lru, it->second);
@@ -333,12 +302,6 @@ class ReferenceCache {
         ++stats_.invalidated;
       }
     }
-  }
-
-  void Retire(std::uint64_t relation_id) {
-    retired_.insert(relation_id);
-    generations_.erase(relation_id);
-    DropRelation(relation_id);
   }
 
   void GenerationChanged(std::uint64_t relation_id,
@@ -391,7 +354,6 @@ class ReferenceCache {
   const std::size_t shard_capacity_;
   NeighborhoodCacheStats stats_;
   std::map<std::uint64_t, std::uint64_t> generations_;
-  std::set<std::uint64_t> retired_;
   std::uint64_t catalog_generation_ = 0;
 };
 
@@ -469,9 +431,6 @@ class CacheModelTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CacheModelTest, MatchesReferenceLruOverSeededOperations) {
   const std::size_t num_shards = GetParam();
-  // Only the last three are ever retired, as copy-on-write retires
-  // only the objects a publish replaced; the first three keep the
-  // budget filling for the whole sequence.
   std::vector<std::unique_ptr<SpatialIndex>> relations;
   for (std::uint64_t seed = 51; seed < 57; ++seed) {
     relations.push_back(MakeIndex(MakeUniform(30, seed)));
@@ -506,10 +465,9 @@ TEST_P(CacheModelTest, MatchesReferenceLruOverSeededOperations) {
   NeighborhoodCache cache(SmallCache(capacity, num_shards));
   ReferenceCache model(num_shards, capacity / num_shards);
   Rng rng(4242 + num_shards);
-  // Lookup, Insert, InvalidateRelation, RetireRelation, the two
-  // generation hooks, Clear: rare drops, so the budget fills between
-  // them and evicts.
-  const std::vector<double> weights = {50, 45, 0.4, 0.3, 0.5, 0.2, 0.1};
+  // Lookup, Insert, InvalidateRelation, the two generation hooks,
+  // Clear: rare drops, so the budget fills between them and evicts.
+  const std::vector<double> weights = {50, 45, 0.4, 0.5, 0.2, 0.1};
   constexpr std::size_t kOps = 40000;
   std::uint64_t version = 0;
   for (std::size_t op = 0; op < kOps; ++op) {
@@ -542,18 +500,12 @@ TEST_P(CacheModelTest, MatchesReferenceLruOverSeededOperations) {
         model.DropRelation(some_relation->instance_id());
         break;
       case 3: {
-        const SpatialIndex* replaced = relations[3 + rng.NextIndex(3)].get();
-        cache.RetireRelation(replaced);
-        model.Retire(replaced->instance_id());
-        break;
-      }
-      case 4: {
         const std::uint64_t generation = rng.NextIndex(3);
         cache.InvalidateIfGenerationChanged(some_relation, generation);
         model.GenerationChanged(some_relation->instance_id(), generation);
         break;
       }
-      case 5: {
+      case 4: {
         const std::uint64_t generation = rng.NextIndex(4);
         cache.InvalidateIfGenerationChanged(generation);
         model.CatalogGenerationChanged(generation);
@@ -583,14 +535,10 @@ INSTANTIATE_TEST_SUITE_P(Shards, CacheModelTest, ::testing::Values(1, 4),
 // --- Concurrency: the TSan job's stress target ---
 
 TEST(NeighborhoodCacheTest, ConcurrentStressKeepsValuesAndAccounting) {
-  // Worker 0 retires the last relation halfway through while the
-  // others still insert under it, as readers pinned on a replaced
-  // shard do.
   std::vector<std::unique_ptr<SpatialIndex>> relations;
   for (std::uint64_t seed = 61; seed < 65; ++seed) {
     relations.push_back(MakeIndex(MakeUniform(30, seed)));
   }
-  const SpatialIndex* retiring = relations.back().get();
   // Overlapping keys whose value is a pure function of the key, so
   // every hit on every thread can be checked.
   struct StressKey {
@@ -626,7 +574,6 @@ TEST(NeighborhoodCacheTest, ConcurrentStressKeepsValuesAndAccounting) {
       Rng rng(900 + w);
       Neighborhood out;
       for (int op = 0; op < kOpsPerWorker; ++op) {
-        if (w == 0 && op == kOpsPerWorker / 2) cache.RetireRelation(retiring);
         const StressKey& key = keys[rng.NextIndex(keys.size())];
         if (rng.Bernoulli(0.6)) {
           if (cache.Lookup(key.relation, key.query, key.k, &out)) {
@@ -667,11 +614,6 @@ TEST(NeighborhoodCacheTest, ConcurrentStressKeepsValuesAndAccounting) {
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_GT(stats.invalidated, 0u);
-
-  // No insert racing the retirement left an entry behind.
-  ASSERT_TRUE(retiring->retired());
-  cache.InvalidateRelation(retiring);
-  EXPECT_EQ(cache.GetStats().invalidated, stats.invalidated);
 }
 
 // --- Engine-level equivalence: the acceptance bar of this subsystem ---

@@ -5,7 +5,7 @@
 // histogram nanosecond fidelity, Prometheus exposition shape, and the
 // EXPLAIN ANALYZE acceptance invariant: summing a counter over a
 // query's span tree reproduces its ExecStats total, across every paper
-// query shape, sharded or not, cached or not.
+// query shape, cached or not.
 
 #include <atomic>
 #include <cstddef>
@@ -285,7 +285,7 @@ TEST(MetricsTest, PrometheusRenderShape) {
 // granularity tile each searcher's work exactly once, so summing any
 // ExecStats-named counter over the span tree reproduces the flat
 // total - for all six paper query shapes, under every engine
-// configuration (sharded or not, cached or not).
+// configuration (cached or not).
 
 Catalog MakeCatalog() {
   Catalog catalog;
@@ -374,7 +374,6 @@ void ExpectTreeSumsMatchStats(const QueryEngine& engine,
         {"candidates_pruned", run.stats.candidates_pruned},
         {"cache_hits", run.stats.cache_hits},
         {"cache_misses", run.stats.cache_misses},
-        {"shards_pruned", run.stats.shards_pruned},
     };
     for (const auto& counter : counters) {
       EXPECT_EQ(obs::SumCounter(root, counter.name), counter.total)
@@ -385,11 +384,11 @@ void ExpectTreeSumsMatchStats(const QueryEngine& engine,
   }
 }
 
-TEST(ExplainAnalyzeTest, SpanSumsMatchExecStatsUnsharded) {
+TEST(ExplainAnalyzeTest, SpanSumsMatchExecStatsUncached) {
   EngineOptions options;
   options.num_threads = 2;
   const QueryEngine engine(MakeCatalog(), options);
-  ExpectTreeSumsMatchStats(engine, "unsharded/uncached");
+  ExpectTreeSumsMatchStats(engine, "uncached");
 }
 
 TEST(ExplainAnalyzeTest, SpanSumsMatchExecStatsCached) {
@@ -397,24 +396,7 @@ TEST(ExplainAnalyzeTest, SpanSumsMatchExecStatsCached) {
   options.num_threads = 2;
   options.cache_mb = 8;
   const QueryEngine engine(MakeCatalog(), options);
-  ExpectTreeSumsMatchStats(engine, "unsharded/cached");
-}
-
-TEST(ExplainAnalyzeTest, SpanSumsMatchExecStatsSharded) {
-  EngineOptions options;
-  options.num_threads = 2;
-  options.index_options.shards = 3;
-  const QueryEngine engine(MakeCatalog(), options);
-  ExpectTreeSumsMatchStats(engine, "sharded/uncached");
-}
-
-TEST(ExplainAnalyzeTest, SpanSumsMatchExecStatsShardedCached) {
-  EngineOptions options;
-  options.num_threads = 2;
-  options.index_options.shards = 3;
-  options.cache_mb = 8;
-  const QueryEngine engine(MakeCatalog(), options);
-  ExpectTreeSumsMatchStats(engine, "sharded/cached");
+  ExpectTreeSumsMatchStats(engine, "cached");
 }
 
 TEST(ExplainAnalyzeTest, PlainRunCarriesNoTrace) {

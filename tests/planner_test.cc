@@ -390,14 +390,15 @@ TEST_F(PlannerTest, EveryAlgorithmHasAPlanAndAnEvaluator) {
   EXPECT_EQ(algorithms, 14u);
 }
 
-TEST_F(PlannerTest, ExplainTagsTheContourOnlyWhereItRuns) {
-  // Select-inner and range-inner Block-Marking run the contour rule;
-  // the unchained C-block test probes every block and takes no mode.
+TEST_F(PlannerTest, ExplainTagsNoPlanWithTheContour) {
+  // Every Block-Marking plan classifies every outer block (the
+  // contour stop is unsound, DESIGN.md note 3), so no plan line carries
+  // a [contour] tag.
   for (const auto& [algorithm, plan_line] :
        {std::pair(Algorithm::kSelectInnerJoinBlockMarking,
-                  "Plan:  Block-Marking [contour]"),
+                  "Plan:  Block-Marking"),
         std::pair(Algorithm::kRangeInnerJoinBlockMarking,
-                  "Plan:  RangeInnerJoin(Block-Marking) [contour]"),
+                  "Plan:  RangeInnerJoin(Block-Marking)"),
         std::pair(Algorithm::kUnchainedBlockMarking,
                   "Plan:  UnchainedJoins(Block-Marking) [joins reordered]")}) {
     const auto [spec, options] = PlanFor(algorithm).value();

@@ -140,10 +140,11 @@ TEST(AdversarialTest, GapLayoutAllEvaluatorsAgree) {
 }
 
 TEST(AdversarialTest, ContourMayClassifyFewerBlocksButResultsMatch) {
-  // DESIGN.md note 3: the contour rule may stop before probing blocks
-  // the exhaustive pass would classify Contributing (conservatively).
-  // On this gap layout the classifications differ while the answers
-  // stay identical - the divergence is about wasted work, not results.
+  // The contour rule (the ablation; plans run the exhaustive pass) may
+  // stop before probing blocks the exhaustive pass would classify
+  // Contributing. On this gap layout the classifications differ while
+  // the answers stay identical; DESIGN.md note 3 has a layout where the
+  // contour loses rows.
   const PointSet outer = GapLayout(555, 0);
   const PointSet inner = GapLayout(777, 100000);
   const auto outer_index = MakeIndex(outer, IndexType::kGrid, 8);

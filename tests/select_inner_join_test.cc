@@ -9,6 +9,7 @@
 #include <limits>
 
 #include "gtest/gtest.h"
+#include "src/core/range_select_inner_join.h"
 #include "src/core/select_inner_join.h"
 #include "tests/test_util.h"
 
@@ -118,8 +119,6 @@ INSTANTIATE_TEST_SUITE_P(
         SijCase{IndexType::kGrid, 800, 800, 3, 10, JoinLayout::kSelfJoin},
         SijCase{IndexType::kQuadtree, 800, 800, 3, 10, JoinLayout::kSelfJoin},
         SijCase{IndexType::kRTree, 800, 800, 3, 10, JoinLayout::kSelfJoin},
-        SijCase{IndexType::kGrid, 400, 1500, 2, 5, JoinLayout::kShards4},
-        SijCase{IndexType::kRTree, 400, 1500, 2, 5, JoinLayout::kShards4},
         SijCase{IndexType::kGrid, 400, 1500, 2, 5,
                 JoinLayout::kZeroWidthOuter},
         SijCase{IndexType::kRTree, 400, 1500, 2, 5,
@@ -194,6 +193,49 @@ TEST(SelectInnerJoinTest, BlockMarkingSkipsMostBlocks) {
       << "points in Non-Contributing blocks must not be joined";
   // The contour rule must stop before probing every block.
   EXPECT_LT(stats.blocks_preprocessed, outer_index->num_blocks());
+}
+
+// DESIGN.md note 3's layout, scaled down: on the grid at block
+// capacities 4 and 16 the paper's contour stop returns none of its 9
+// rows. The exhaustive classification every plan runs must return all
+// of them, for both inner filters, on every structure.
+TEST(SelectInnerJoinTest, ExhaustiveBlockMarkingKeepsTheFarCarsRows) {
+  const testing::FarCarsLayout layout =
+      testing::MakeFarCarsLayout(2997, /*seed=*/73);
+  for (const IndexType type : testing::AllIndexTypes()) {
+    for (const std::size_t capacity : {4u, 16u, 64u}) {
+      const std::string ctx =
+          std::string(ToString(type)) + " cap " + std::to_string(capacity);
+      const auto cars = MakeIndex(layout.cars, type, capacity);
+      const auto shops = MakeIndex(layout.shops, type, capacity);
+      const SelectInnerJoinQuery select{
+          .outer = cars.get(),
+          .inner = shops.get(),
+          .join_k = 3,
+          .focal = Point{.id = -1, .x = 500, .y = 400},
+          .select_k = 3};
+      const auto naive = SelectInnerJoinNaive(select);
+      ASSERT_TRUE(naive.ok()) << ctx;
+      EXPECT_EQ(naive->size(), 9u) << ctx;
+      EXPECT_EQ(
+          *SelectInnerJoinBlockMarking(select, PreprocessMode::kExhaustive),
+          *naive)
+          << ctx;
+
+      const RangeSelectInnerJoinQuery range{
+          .outer = cars.get(),
+          .inner = shops.get(),
+          .join_k = 3,
+          .range = BoundingBox(499, 399, 502, 402)};
+      const auto range_naive = RangeSelectInnerJoinNaive(range);
+      ASSERT_TRUE(range_naive.ok()) << ctx;
+      EXPECT_EQ(range_naive->size(), 9u) << ctx;
+      EXPECT_EQ(*RangeSelectInnerJoinBlockMarking(range,
+                                                  PreprocessMode::kExhaustive),
+                *range_naive)
+          << ctx;
+    }
+  }
 }
 
 TEST(SelectInnerJoinTest, ContourProbesFewerBlocksThanExhaustive) {

@@ -43,15 +43,6 @@ kernels (bench_kernels):
     gated even without SIMD)
   * skip_rate_*        >  0.0  (bound-based block skipping engages)
 
-shards (bench_engine_shards):
-  * shard_speedup_t4 >= 1.4  (the 8-shard engine's mixed-workload
-    statement throughput - queries plus admitted updates over a fixed
-    4-thread read window - beats single-shard, where the exclusive
-    writer lock starves DML under read pressure)
-  * shards_pruned    >  0    (scatter-gather kNN actually skips shards
-    past the k-th neighbor bound)
-  * total_errors     == 0    (every query and mutation succeeded)
-
 A gated field the bench wrote as null (a filtered run that skipped the
 rows it derives from) is reported as "not measured" and fails the gate.
 
@@ -71,7 +62,6 @@ MAX_OBS_PLANE_OVERHEAD = 0.02
 MIN_SERVER_RATIO = 0.7
 MIN_SIMD_SPEEDUP = 1.5
 MIN_SCAN_SPEEDUP = 1.5
-MIN_SHARD_SPEEDUP = 1.4
 
 
 def load(path):
@@ -231,25 +221,6 @@ def check_kernels(current, failures):
                             f"skipping never engaged")
 
 
-def check_shards(current, failures):
-    summary = current.get("summary", {})
-    speedup = summary.get("shard_speedup_t4", 0.0)
-    pruned = summary.get("shards_pruned", 0)
-    errors = summary.get("total_errors", None)
-    print(f"\nshard_speedup_t4={speedup:.2f}x "
-          f"(floor {MIN_SHARD_SPEEDUP}x), shards_pruned={pruned}, "
-          f"total_errors={errors}")
-    if speedup < MIN_SHARD_SPEEDUP:
-        failures.append(f"shard_speedup_t4 {speedup:.2f}x is below the "
-                        f"{MIN_SHARD_SPEEDUP}x floor")
-    if pruned <= 0:
-        failures.append("shards_pruned is zero - the scatter-gather "
-                        "bound never skipped a shard")
-    if errors is None or errors != 0:
-        failures.append(f"shards bench reported {errors} query/DML "
-                        f"errors (want 0)")
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("current")
@@ -287,8 +258,6 @@ def main():
         check_server(current, failures)
     elif kind == "kernels":
         check_kernels(current, failures)
-    elif kind == "shards":
-        check_shards(current, failures)
     else:
         check_engine_batch(current, baseline, failures)
 

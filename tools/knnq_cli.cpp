@@ -9,13 +9,11 @@
 //   knnq_cli knn --data FILE --at X,Y --k K [--index TYPE]
 //   knnq_cli query --data NAME=FILE [--data NAME=FILE ...]
 //            [-e "KNNQL"] [--file SCRIPT.knnql] [--json] [--naive]
-//            [--index TYPE] [--cache-mb M] [--shards N]
-//            [--shard-policy bisection|grid]
+//            [--index TYPE] [--cache-mb M]
 //   knnq_cli serve --data NAME=FILE [--data NAME=FILE ...]
 //            [--host H] [--port P] [--threads T] [--max-inflight M]
 //            [--max-conn-inflight M] [--max-request-bytes B]
 //            [--idle-timeout-ms T] [--cache-mb M] [--index TYPE]
-//            [--shards N] [--shard-policy bisection|grid]
 //            [--data-dir DIR] [--wal-sync always|interval|none]
 //            [--snapshot-interval-ops N]
 //            [--http-port P] [--http-host H] [--history-interval-ms T]
@@ -38,11 +36,7 @@
 // cross-query neighborhood cache (0, the default, disables it), and
 // every command accepts --no-simd to disable the AVX2 distance kernel
 // (results are byte-identical either way; the flag exists for speed
-// A/B runs). `query` and `serve` accept --shards N (default 1) to
-// partition every relation into N spatial shards: kNN runs
-// scatter-gather with distance-bound shard pruning (`shards_pruned` in
-// stats output) and DML commits copy-on-write without blocking
-// readers. Results are byte-identical to --shards 1.
+// A/B runs).
 //
 // `serve --http-port P` adds the HTTP observability plane: GET
 // /metrics (Prometheus exposition, byte-identical to the METRICS;
@@ -171,7 +165,8 @@ class Args {
     if (!raw.ok()) return raw.status();
     auto parsed = ParseSize(*raw);
     if (!parsed.ok()) {
-      return Status::InvalidArgument(flag + " must be >= 0");
+      return Status::InvalidArgument(flag +
+                                     " must be a non-negative integer");
     }
     return *parsed;
   }
@@ -215,25 +210,13 @@ Result<IndexType> ParseIndexType(const std::string& name) {
   return Status::InvalidArgument("unknown index type: " + name);
 }
 
-Result<ShardPolicy> ParseShardPolicy(const std::string& name) {
-  if (name == "bisection") return ShardPolicy::kBisection;
-  if (name == "grid") return ShardPolicy::kGrid;
-  return Status::InvalidArgument("unknown shard policy: " + name);
-}
-
-/// Shared --index / --shards / --shard-policy parsing of `query` and
-/// `serve`.
+/// --index, the structure every relation of `query` and `serve` is
+/// indexed with.
 Result<IndexOptions> ParseIndexFlags(const Args& args) {
   auto type = ParseIndexType(args.GetOr("--index", "grid"));
   if (!type.ok()) return type.status();
-  auto shards = args.GetSizeOr("--shards", 1);
-  if (!shards.ok()) return shards.status();
-  auto policy = ParseShardPolicy(args.GetOr("--shard-policy", "bisection"));
-  if (!policy.ok()) return policy.status();
   IndexOptions options;
   options.type = *type;
-  options.shards = std::max<std::size_t>(*shards, 1);
-  options.shard_policy = *policy;
   return options;
 }
 
@@ -275,8 +258,14 @@ int CmdGenerate(const Args& args) {
   const std::string kind = args.GetOr("--kind", "berlin");
   auto n = args.GetSize("--n");
   if (!n.ok()) return Fail(n.status());
-  const auto seed = static_cast<std::uint64_t>(
-      std::strtoull(args.GetOr("--seed", "1").c_str(), nullptr, 10));
+  auto seed = args.GetSizeOr("--seed", 1);
+  if (!seed.ok()) return Fail(seed.status());
+  auto clusters = args.Has("--clusters") ? args.GetSize("--clusters")
+                                         : Result<std::size_t>(4);
+  if (!clusters.ok()) return Fail(clusters.status());
+  auto per = args.Has("--per") ? args.GetSize("--per")
+                               : Result<std::size_t>(*n / *clusters);
+  if (!per.ok()) return Fail(per.status());
   auto out = args.Get("--out");
   if (!out.ok()) return Fail(out.status());
 
@@ -284,23 +273,19 @@ int CmdGenerate(const Args& args) {
   if (kind == "berlin") {
     BerlinModOptions options;
     options.num_points = *n;
-    options.seed = seed;
+    options.seed = *seed;
     auto generated = GenerateBerlinModSnapshot(options);
     if (!generated.ok()) return Fail(generated.status());
     points = std::move(generated.value());
   } else if (kind == "uniform") {
-    points = GenerateUniform(*n, BoundingBox(0, 0, 30000, 24000), seed);
+    points = GenerateUniform(*n, BoundingBox(0, 0, 30000, 24000), *seed);
   } else if (kind == "clusters") {
     ClusterOptions options;
-    options.num_clusters = args.Has("--clusters")
-                               ? *args.GetSize("--clusters")
-                               : std::size_t{4};
-    options.points_per_cluster =
-        args.Has("--per") ? *args.GetSize("--per")
-                          : *n / options.num_clusters;
+    options.num_clusters = *clusters;
+    options.points_per_cluster = *per;
     options.cluster_radius = 800.0;
     options.region = BoundingBox(0, 0, 30000, 24000);
-    options.seed = seed;
+    options.seed = *seed;
     auto generated = GenerateClusters(options);
     if (!generated.ok()) return Fail(generated.status());
     points = std::move(generated.value());
@@ -650,11 +635,7 @@ int CmdQuery(const Args& args) {
   if (!cache_mb.ok()) return Fail(cache_mb.status());
 
   Catalog catalog;
-  // Relations load unsharded; the engine reshards them itself when
-  // --shards > 1 (the partition belongs to the engine, not the file).
-  IndexOptions load_options = *index_options;
-  load_options.shards = 1;
-  if (const Status s = BuildCatalog(args, load_options, &catalog);
+  if (const Status s = BuildCatalog(args, *index_options, &catalog);
       !s.ok()) {
     return Fail(s);
   }
@@ -663,7 +644,7 @@ int CmdQuery(const Args& args) {
   options.num_threads = 1;  // Statements run one at a time.
   options.cache_mb = *cache_mb;
   options.planner.force_naive = args.Has("--naive");
-  // Shard count, and the structure of LOAD-created relations.
+  // The structure of LOAD-created relations.
   options.index_options = *index_options;
   if (const Status s = ApplyObsFlags(args, &options); !s.ok()) {
     return Fail(s);
@@ -705,8 +686,6 @@ int CmdServe(const Args& args) {
   if (!index_options.ok()) return Fail(index_options.status());
 
   Catalog catalog;
-  IndexOptions load_options = *index_options;
-  load_options.shards = 1;  // The engine reshards at construction.
 
   // Durable serving: --data-dir DIR opens (or creates) a WAL +
   // snapshot pair there. On a restart the snapshot seeds the catalog
@@ -728,7 +707,7 @@ int CmdServe(const Args& args) {
     durable_options.sync = wal_sync;
     durable_options.sync_interval_ops = *sync_every;
     durable_options.snapshot_interval_ops = *snap_every;
-    durable_options.index_options = load_options;
+    durable_options.index_options = *index_options;
     auto opened =
         durability::DurabilityManager::Open(std::move(durable_options));
     if (!opened.ok()) return Fail(opened.status());
@@ -758,7 +737,7 @@ int CmdServe(const Args& args) {
   } else if (durable == nullptr || args.Has("--data")) {
     // A fresh durable server may start empty (LOAD creates relations);
     // a non-durable one still needs at least one --data.
-    if (const Status s = BuildCatalog(args, load_options, &catalog);
+    if (const Status s = BuildCatalog(args, *index_options, &catalog);
         !s.ok()) {
       return Fail(s);
     }
@@ -902,10 +881,9 @@ int CmdServe(const Args& args) {
   std::signal(SIGTERM, HandleTermSignal);
 
   std::printf("serving KNNQL on %s:%u (%zu worker threads, "
-              "max in-flight %zu, cache %zu MiB, %zu shard%s)\n",
+              "max in-flight %zu, cache %zu MiB)\n",
               server_options.host.c_str(), server.port(),
-              engine.num_threads(), *max_inflight, *cache_mb,
-              engine.shards(), engine.shards() == 1 ? "" : "s");
+              engine.num_threads(), *max_inflight, *cache_mb);
   std::fflush(stdout);
 
   server.WaitUntilStopRequested();
@@ -936,8 +914,7 @@ void PrintUsage() {
       "  knn       --data F --at X,Y --k K [--index TYPE]\n"
       "  query     --data NAME=F [--data NAME=F ...]\n"
       "            [-e \"KNNQL\"] [--file SCRIPT.knnql] [--json] [--naive]\n"
-      "            [--index TYPE] [--shards N]\n"
-      "            [--shard-policy bisection|grid] [--cache-mb M]\n"
+      "            [--index TYPE] [--cache-mb M]\n"
       "            [--slow-query-ms MS] [--trace-sample-every N]\n"
       "            [--log-file F] [--log-level L]\n"
       "  serve     --data NAME=F [--data NAME=F ...]\n"
@@ -950,8 +927,7 @@ void PrintUsage() {
       "            [--data-dir DIR] [--wal-sync always|interval|none]\n"
       "            [--wal-sync-interval-ops N]\n"
       "            [--snapshot-interval-ops N]\n"
-      "            [--cache-mb M] [--index TYPE] [--shards N]\n"
-      "            [--shard-policy bisection|grid]\n"
+      "            [--cache-mb M] [--index TYPE]\n"
       "            [--http-port P] [--http-host H]\n"
       "            [--history-interval-ms T] [--drain-linger-ms T]\n"
       "            [--slow-query-ms MS] [--trace-sample-every N]\n"
@@ -980,9 +956,9 @@ void PrintUsage() {
       "for --drain-linger-ms after a graceful shutdown's drain.\n"
       "query and serve: --naive runs the conceptually correct baseline\n"
       "plans; --cache-mb M enables the cross-query neighborhood cache\n"
-      "with an M-MiB budget (0 = off); --index, --shards and\n"
-      "--shard-policy choose each relation's index and its spatial\n"
-      "partition (results are identical for every choice);\n"
+      "with an M-MiB budget (0 = off); --index chooses each\n"
+      "relation's index structure (results are identical for every\n"
+      "choice);\n"
       "--slow-query-ms MS logs statements slower than MS as JSONL,\n"
       "--trace-sample-every N attaches a trace to every Nth statement\n"
       "(sampled slow queries log their span tree), --log-file F sends\n"
@@ -1007,7 +983,7 @@ const std::vector<Command>& Commands() {
       {"query",
        CmdQuery,
        {"--data", "-e", "--file", "--json", "--naive", "--index",
-        "--shards", "--shard-policy", "--cache-mb", "--slow-query-ms",
+        "--cache-mb", "--slow-query-ms",
         "--trace-sample-every", "--log-file", "--log-level"}},
       {"serve",
        CmdServe,
@@ -1016,8 +992,8 @@ const std::vector<Command>& Commands() {
         "--idle-timeout-ms", "--max-connections", "--write-timeout-ms",
         "--shutdown-grace-ms", "--load-dir", "--allow-remote-shutdown",
         "--data-dir", "--wal-sync", "--wal-sync-interval-ops",
-        "--snapshot-interval-ops", "--cache-mb", "--index", "--shards",
-        "--shard-policy", "--http-port", "--http-host",
+        "--snapshot-interval-ops", "--cache-mb", "--index",
+        "--http-port", "--http-host",
         "--history-interval-ms", "--drain-linger-ms", "--slow-query-ms",
         "--trace-sample-every", "--log-file", "--log-level"}},
   };
