@@ -661,7 +661,8 @@ ObsPlaneOverhead MeasureObsPlaneOverhead() {
   EngineOptions options;
   options.num_threads = 1;
   QueryEngine engine(MakeCatalog(), options);
-  server::Server server(&engine, server::ServerOptions{});
+  const server::ServerOptions server_options;
+  server::Server server(&engine, server_options);
 
   std::string rendered = server.RenderPrometheus();  // Warm buffers.
   benchmark::DoNotOptimize(rendered);

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <utility>
 #include <vector>
 
@@ -258,27 +257,6 @@ double DurabilityManager::fsync_lag_seconds() const {
   if (first == 0) return 0.0;
   const std::uint64_t now = SteadyNowMs();
   return now > first ? static_cast<double>(now - first) / 1000.0 : 0.0;
-}
-
-std::string DurabilityManager::StatusJson() const {
-  char lag[32];
-  std::snprintf(lag, sizeof(lag), "%.3f", fsync_lag_seconds());
-  return std::string("{\"sync_policy\": \"") + ToString(options_.sync) +
-         "\", \"writable\": " + (writable() ? "true" : "false") +
-         ", \"size_bytes\": " +
-         std::to_string(wal_size_bytes_.load(std::memory_order_relaxed)) +
-         ", \"last_lsn\": " +
-         std::to_string(last_lsn_metric_.load(std::memory_order_relaxed)) +
-         ", \"appends\": " +
-         std::to_string(appends_total_.load(std::memory_order_relaxed)) +
-         ", \"syncs\": " +
-         std::to_string(syncs_total_.load(std::memory_order_relaxed)) +
-         ", \"snapshots\": " +
-         std::to_string(snapshots_total_.load(std::memory_order_relaxed)) +
-         ", \"replayed_records\": " +
-         std::to_string(replayed_total_.load(std::memory_order_relaxed)) +
-         ", \"unsynced_ops\": " + std::to_string(unsynced_ops()) +
-         ", \"fsync_lag_seconds\": " + lag + "}";
 }
 
 }  // namespace knnq::durability

@@ -124,9 +124,6 @@ class DurabilityManager : public WalSink {
            !append_failed_.load(std::memory_order_relaxed);
   }
 
-  /// The "wal" object of /statusz: policy, size, LSN, sync debt.
-  std::string StatusJson() const;
-
   /// True when a snapshot existed at Open time (serve uses this to
   /// decide whether --data seeds or the snapshot does).
   bool recovered_from_snapshot() const { return have_snapshot_; }

@@ -342,18 +342,6 @@ void NeighborhoodCache::InvalidateIfGenerationChanged(
   InvalidateRelation(relation);
 }
 
-void NeighborhoodCache::InvalidateIfGenerationChanged(
-    std::uint64_t generation) {
-  std::uint64_t seen = generation_.load(std::memory_order_acquire);
-  if (seen == generation) return;
-  // First thread to observe the change clears; racing observers of the
-  // same generation skip (Clear is idempotent anyway).
-  if (generation_.compare_exchange_strong(seen, generation,
-                                          std::memory_order_acq_rel)) {
-    Clear();
-  }
-}
-
 NeighborhoodCacheStats NeighborhoodCache::GetStats() const {
   NeighborhoodCacheStats stats;
   for (const auto& shard : shards_) {

@@ -115,13 +115,6 @@ class NeighborhoodCache {
   void InvalidateIfGenerationChanged(const SpatialIndex* relation,
                                      std::uint64_t generation);
 
-  /// Whole-catalog invalidation hook: when `generation` differs from
-  /// the last observed catalog-wide value, the cache clears itself
-  /// (cached pointers could otherwise dangle or alias a new relation).
-  /// Kept for callers embedding the cache next to a catalog they keep
-  /// extending; mutations go through the per-relation overload.
-  void InvalidateIfGenerationChanged(std::uint64_t generation);
-
   NeighborhoodCacheStats GetStats() const;
 
   /// Current footprint from a relaxed atomic - no shard locks. The
@@ -145,7 +138,6 @@ class NeighborhoodCache {
   const int shard_bits_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::size_t> bytes_{0};
-  std::atomic<std::uint64_t> generation_{0};
   /// Last generation observed per relation instance id (per-relation
   /// invalidation).
   mutable std::mutex relation_generations_mu_;

@@ -52,14 +52,7 @@ QueryEngine::QueryEngine(Catalog catalog, EngineOptions options)
       cache_(MakeCache(options_)),
       pool_(std::make_unique<ThreadPool>(ThreadPoolOptions{
           .num_threads = ResolveThreads(options_.num_threads),
-          .max_queue = options_.pool_queue_limit})) {
-  if (cache_ != nullptr) {
-    // Adopt the catalog's generation as the cache's baseline; every
-    // later change flows through ExecuteDml, which invalidates per
-    // relation.
-    cache_->InvalidateIfGenerationChanged(catalog_.generation());
-  }
-}
+          .max_queue = options_.pool_queue_limit})) {}
 
 QueryEngine::~QueryEngine() = default;
 
@@ -154,14 +147,6 @@ void QueryEngine::RecordMutation(const EngineResult& result) const {
 EngineStatsSnapshot QueryEngine::StatsSnapshot() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return cumulative_;
-}
-
-bool QueryEngine::SubmitQuery(QuerySpec spec,
-                              std::function<void(EngineResult)> done) const {
-  return pool_->Submit(
-      [this, spec = std::move(spec), done = std::move(done)]() mutable {
-        done(Run(spec));
-      });
 }
 
 bool QueryEngine::TrySubmitQuery(

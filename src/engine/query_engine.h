@@ -234,15 +234,10 @@ class QueryEngine {
   /// primitive: plans and executes `spec` on the worker pool and
   /// invokes `done` with the outcome on the worker thread. `done` must
   /// not throw and must outlive the engine's pool (servers drain
-  /// in-flight work before destroying the engine). Returns false when
-  /// the pool is shutting down: the query was dropped and `done` will
-  /// never run.
-  bool SubmitQuery(QuerySpec spec,
-                   std::function<void(EngineResult)> done) const;
-
-  /// Like SubmitQuery, but refuses instead of waiting when the pool's
-  /// bounded queue (EngineOptions::pool_queue_limit) is full or the
-  /// pool is stopping: returns false and never invokes `done`. The
+  /// in-flight work before destroying the engine). Refuses instead of
+  /// waiting when the pool's bounded queue
+  /// (EngineOptions::pool_queue_limit) is full or the pool is
+  /// stopping: returns false and never invokes `done`. The
   /// backpressure hook admission control maps to an `overloaded` wire
   /// error.
   bool TrySubmitQuery(QuerySpec spec,
@@ -326,7 +321,7 @@ class QueryEngine {
   /// Statement counter driving trace_sample_every.
   mutable std::atomic<std::uint64_t> sample_counter_{0};
   /// Declared LAST: destruction joins the workers first, so an async
-  /// SubmitQuery task still in flight can never touch an
+  /// TrySubmitQuery task still in flight can never touch an
   /// already-destroyed mutex, cache or catalog.
   std::unique_ptr<ThreadPool> pool_;
 };

@@ -8,8 +8,16 @@
 
 namespace knnq::obs {
 
-MetricsHistory::MetricsHistory(HistoryOptions options)
-    : options_(options) {
+MetricsHistory::MetricsHistory(const MetricsRegistry* registry,
+                               std::vector<std::string> series,
+                               HistoryOptions options)
+    : registry_(registry),
+      names_(std::move(series)),
+      options_(options),
+      values_(names_.size()) {
+  for (const std::string& name : names_) {
+    KNNQ_CHECK_MSG(registry_->Read(name).has_value(), name.c_str());
+  }
   options_.interval_ms = std::max(options_.interval_ms, 1);
   options_.capacity = std::max<std::size_t>(options_.capacity, 1);
   base_wall_ms_ = static_cast<std::uint64_t>(
@@ -20,17 +28,6 @@ MetricsHistory::MetricsHistory(HistoryOptions options)
 }
 
 MetricsHistory::~MetricsHistory() { Stop(); }
-
-void MetricsHistory::AddSource(std::string name,
-                               std::function<double()> fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  KNNQ_CHECK(size_ == 0);  // Sources are fixed once sampling began.
-  for (const Source& source : sources_) {
-    KNNQ_CHECK(source.name != name);
-  }
-  sources_.push_back({std::move(name), std::move(fn)});
-  values_.emplace_back();
-}
 
 void MetricsHistory::Start() {
   {
@@ -71,17 +68,12 @@ void MetricsHistory::SamplerLoop() {
 }
 
 void MetricsHistory::SampleOnce() {
-  // Read every source OUTSIDE the ring mutex: a slow callback (an
+  // Read every series OUTSIDE the ring mutex: a slow callback (an
   // engine stats snapshot) must not block a concurrent Snapshot().
-  std::vector<Source> sources;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sources = sources_;
-  }
   std::vector<double> row;
-  row.reserve(sources.size());
-  for (const Source& source : sources) {
-    row.push_back(source.fn());
+  row.reserve(names_.size());
+  for (const std::string& name : names_) {
+    row.push_back(*registry_->Read(name));
   }
   const auto elapsed =
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -113,10 +105,9 @@ HistorySnapshot MetricsHistory::Snapshot() const {
   for (std::size_t i = 0; i < size_; ++i) {
     snap.t_ms.push_back(times_[(head_ + i) % options_.capacity]);
   }
-  snap.names.reserve(sources_.size());
-  snap.values.reserve(sources_.size());
-  for (std::size_t s = 0; s < sources_.size(); ++s) {
-    snap.names.push_back(sources_[s].name);
+  snap.names = names_;
+  snap.values.reserve(names_.size());
+  for (std::size_t s = 0; s < names_.size(); ++s) {
     std::vector<double> series;
     series.reserve(size_);
     for (std::size_t i = 0; i < size_; ++i) {
@@ -149,11 +140,6 @@ std::string MetricsHistory::RenderJson() const {
   }
   out += "}}";
   return out;
-}
-
-std::size_t MetricsHistory::num_sources() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sources_.size();
 }
 
 }  // namespace knnq::obs

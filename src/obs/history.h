@@ -1,10 +1,10 @@
 // MetricsHistory: fixed-size ring-buffer time series over selected
-// counters and gauges, so rate and saturation trends are visible from
-// /statusz and the HISTORY admin verb without external tooling.
+// counters and gauges of a MetricsRegistry, so rate and saturation
+// trends are visible from /statusz and the HISTORY admin verb without
+// external tooling.
 //
-// Sources are registered as callbacks (the same closures the
-// MetricsRegistry scrapes) before Start(); a background thread then
-// samples every source once per interval into per-metric rings that
+// Each series is a registry entry named at construction; a background
+// thread reads every one once per interval into per-metric rings that
 // share one timestamp ring. ~10 minutes of 1 s samples fit in the
 // default capacity; older samples fall off the front. Snapshots are
 // taken under the ring mutex, so every series in one snapshot has the
@@ -18,11 +18,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "src/obs/metrics_registry.h"
 
 namespace knnq::obs {
 
@@ -49,15 +50,16 @@ struct HistorySnapshot {
 
 class MetricsHistory {
  public:
-  explicit MetricsHistory(HistoryOptions options = {});
+  /// Samples the counters and gauges of `registry` named in `series`,
+  /// in that order. Every name must already be registered as a counter
+  /// or gauge (checked here). `registry` must outlive the history.
+  MetricsHistory(const MetricsRegistry* registry,
+                 std::vector<std::string> series,
+                 HistoryOptions options = {});
   ~MetricsHistory();
 
   MetricsHistory(const MetricsHistory&) = delete;
   MetricsHistory& operator=(const MetricsHistory&) = delete;
-
-  /// Registers one sampled source. Must be called before Start();
-  /// `fn` is invoked from the sampler thread and must be thread-safe.
-  void AddSource(std::string name, std::function<double()> fn);
 
   /// Takes the t=0 sample immediately (so series are non-empty from
   /// the first scrape) and spawns the sampler thread. Idempotent.
@@ -67,7 +69,7 @@ class MetricsHistory {
   /// calls it.
   void Stop();
 
-  /// One synchronous sampling pass over every source - the sampler
+  /// One synchronous sampling pass over every series - the sampler
   /// thread's body, exposed so tests can drive the rings directly.
   void SampleOnce();
 
@@ -78,23 +80,18 @@ class MetricsHistory {
   /// "t_ms": [...], "series": {"name": [...], ...}}`.
   std::string RenderJson() const;
 
-  std::size_t num_sources() const;
-
  private:
-  struct Source {
-    std::string name;
-    std::function<double()> fn;
-  };
-
   void SamplerLoop();
 
+  const MetricsRegistry* registry_;
+  /// Registry names of the series; fixed at construction.
+  const std::vector<std::string> names_;
   HistoryOptions options_;
 
   mutable std::mutex mu_;
-  std::vector<Source> sources_;
   /// Ring state, guarded by mu_: head_ is the oldest sample's slot,
   /// size_ the live count. times_ and each values_[s] have capacity
-  /// slots; values_[s] parallels sources_[s].
+  /// slots; values_[s] parallels names_[s].
   std::vector<std::uint64_t> times_;
   std::vector<std::vector<double>> values_;
   std::size_t head_ = 0;

@@ -144,10 +144,8 @@ std::string MetricsRegistry::RenderPrometheus() const {
     switch (entry.kind) {
       case Entry::Kind::kCounter: {
         out += "# TYPE " + entry.name + " counter\n";
-        const std::uint64_t value = entry.counter != nullptr
-                                        ? entry.counter->Value()
-                                        : entry.counter_fn();
-        out += entry.name + " " + std::to_string(value) + "\n";
+        out += entry.name + " " + std::to_string(entry.CounterValue()) +
+               "\n";
         break;
       }
       case Entry::Kind::kGauge: {
@@ -174,6 +172,43 @@ std::string MetricsRegistry::RenderPrometheus() const {
     }
   }
   return out;
+}
+
+std::string MetricsRegistry::RenderJson() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::string out = "{";
+  for (const Entry& entry : entries_) {
+    if (out.size() > 1) out += ", ";
+    out += "\"" + entry.name + "\": ";
+    switch (entry.kind) {
+      case Entry::Kind::kCounter:
+        out += std::to_string(entry.CounterValue());
+        break;
+      case Entry::Kind::kGauge:
+        out += FormatDouble(entry.gauge_fn());
+        break;
+      case Entry::Kind::kHistogram:
+        out += entry.histogram->Summarize().ToJson();
+        break;
+    }
+  }
+  return out + "}";
+}
+
+std::optional<double> MetricsRegistry::Read(std::string_view name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const Entry& entry : entries_) {
+    if (entry.name != name) continue;
+    switch (entry.kind) {
+      case Entry::Kind::kCounter:
+        return static_cast<double>(entry.CounterValue());
+      case Entry::Kind::kGauge:
+        return entry.gauge_fn();
+      case Entry::Kind::kHistogram:
+        return std::nullopt;
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace knnq::obs

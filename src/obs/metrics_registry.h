@@ -1,13 +1,15 @@
 // Generic process-wide metrics: counters, gauges, and log-bucketed
-// latency histograms, registered by name and rendered in Prometheus
-// text exposition format (the server's METRICS verb).
+// latency histograms, registered by name and rendered two ways: as
+// Prometheus text exposition (the server's METRICS verb and GET
+// /metrics) and as one JSON object keyed by metric name (the STATS
+// verb and /statusz). The HISTORY sampler reads entries by name.
 //
 // Instruments are owned by their call sites (ServerMetrics members, a
 // bench fixture, ...) and updated with lock-free relaxed atomics; a
 // MetricsRegistry holds non-owning registrations plus callback metrics
 // for snapshot-style sources (EngineStatsSnapshot, NeighborhoodCache
 // stats) that are read at scrape time. Rendering iterates in
-// registration order, so the exposition is stable scrape to scrape.
+// registration order, so both renderings are stable scrape to scrape.
 
 #ifndef KNNQ_SRC_OBS_METRICS_REGISTRY_H_
 #define KNNQ_SRC_OBS_METRICS_REGISTRY_H_
@@ -17,7 +19,9 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace knnq::obs {
@@ -93,7 +97,8 @@ class Histogram {
   std::atomic<std::uint64_t> total_ns_{0};
 };
 
-/// Non-owning name -> instrument registry with Prometheus rendering.
+/// Non-owning name -> instrument registry, the one renderer of every
+/// served metric.
 /// Registration normally happens once at startup; it is mutex-guarded
 /// anyway so tests may register concurrently. Registered pointers must
 /// outlive the registry. Names must match
@@ -115,6 +120,15 @@ class MetricsRegistry {
   /// # TYPE line then its samples, in registration order.
   std::string RenderPrometheus() const;
 
+  /// Every metric as one JSON object keyed by name, in registration
+  /// order: counters as integers, gauges as shortest round-trip
+  /// doubles, histograms as HistogramSummary::ToJson objects.
+  std::string RenderJson() const;
+
+  /// The current value of the counter or gauge registered as `name`;
+  /// nullopt when no counter or gauge has that name.
+  std::optional<double> Read(std::string_view name) const;
+
  private:
   struct Entry {
     std::string name;
@@ -124,6 +138,10 @@ class MetricsRegistry {
     const Histogram* histogram = nullptr;
     std::function<std::uint64_t()> counter_fn;
     std::function<double()> gauge_fn;
+
+    std::uint64_t CounterValue() const {
+      return counter != nullptr ? counter->Value() : counter_fn();
+    }
   };
 
   void Register(Entry entry);

@@ -30,7 +30,6 @@ Status Catalog::AddRelation(const std::string& name, PointSet points,
                                     .index = std::move(index.value()),
                                     .generation = 1,
                                     .next_id = next_id});
-  ++generation_;
   return Status::Ok();
 }
 
@@ -54,10 +53,7 @@ Result<MutationOutcome> Catalog::Mutate(const std::string& name,
       Point p = op.point;
       if (p.id < 0) p.id = rel.next_id;
       if (Status s = rel.index->Insert(p); !s.ok()) {
-        if (rows > 0) {
-          ++rel.generation;
-          ++generation_;
-        }
+        if (rows > 0) ++rel.generation;
         return s;
       }
       rel.next_id = std::max(rel.next_id, p.id + 1);
@@ -67,18 +63,12 @@ Result<MutationOutcome> Catalog::Mutate(const std::string& name,
       if (erased.ok()) {
         ++rows;
       } else if (erased.code() != StatusCode::kNotFound) {
-        if (rows > 0) {
-          ++rel.generation;
-          ++generation_;
-        }
+        if (rows > 0) ++rel.generation;
         return erased;
       }
     }
   }
-  if (rows > 0) {
-    ++rel.generation;
-    ++generation_;
-  }
+  if (rows > 0) ++rel.generation;
   return MutationOutcome{.rows_affected = rows,
                          .generation = rel.generation,
                          .index = rel.index.get()};
@@ -103,7 +93,6 @@ Result<MutationOutcome> Catalog::LoadRelation(const std::string& name,
   if (Status s = rel.index->BulkLoad(std::move(points)); !s.ok()) return s;
   rel.next_id = next_id;
   ++rel.generation;
-  ++generation_;
   return MutationOutcome{.rows_affected = rows,
                          .generation = rel.generation,
                          .index = rel.index.get()};
@@ -125,7 +114,6 @@ Status Catalog::AdoptRelation(const std::string& name,
                                     .index = std::move(index),
                                     .generation = 1,
                                     .next_id = next_id});
-  ++generation_;
   return Status::Ok();
 }
 

@@ -8,7 +8,7 @@
 // erases through the index's incremental maintenance, and LoadRelation
 // replaces (or creates) a relation wholesale. Every change bumps the
 // mutated relation's own generation — the key caches use to invalidate
-// per relation instead of wholesale — plus the catalog-wide generation.
+// per relation instead of wholesale.
 //
 // The catalog itself does no locking. QueryEngine wraps every mutation
 // in its writer lock and every query in a reader lock, so a mutation
@@ -133,17 +133,11 @@ class Catalog {
   /// frame for coverage comparisons.
   BoundingBox UnionBounds() const;
 
-  /// Bumped by every successful AddRelation / Mutate / LoadRelation.
-  /// Coarse whole-catalog change detection; per-relation consumers use
-  /// Relation::generation instead.
-  std::uint64_t generation() const { return generation_; }
-
  private:
   /// Mutable lookup for the mutation paths.
   Result<Relation*> GetMutable(const std::string& name);
 
   std::map<std::string, Relation> relations_;
-  std::uint64_t generation_ = 0;
 };
 
 }  // namespace knnq

@@ -55,34 +55,4 @@ void ServerMetrics::RegisterAll(obs::MetricsRegistry* registry) const {
                               "Statement bind latency.", &bind_latency);
 }
 
-std::string ServerMetrics::ToJson(std::size_t active_connections,
-                                  std::size_t in_flight) const {
-  const auto get = [](const obs::Counter& c) {
-    return std::to_string(c.Value());
-  };
-  return "{\"connections_opened\": " + get(connections_opened) +
-         ", \"connections_closed\": " + get(connections_closed) +
-         ", \"active_connections\": " +
-         std::to_string(active_connections) +
-         ", \"in_flight\": " + std::to_string(in_flight) +
-         ", \"requests\": " + get(requests) +
-         ", \"responses\": " + get(responses) +
-         ", \"queries_ok\": " + get(queries_ok) +
-         ", \"mutations_ok\": " + get(mutations_ok) +
-         ", \"explains_ok\": " + get(explains_ok) +
-         ", \"admin_requests\": " + get(admin_requests) +
-         ", \"errors\": " + get(errors) +
-         ", \"overload_rejections\": " + get(overload_rejections) +
-         ", \"connection_rejections\": " + get(connection_rejections) +
-         ", \"write_timeouts\": " + get(write_timeouts) +
-         ", \"parse_errors\": " + get(parse_errors) +
-         ", \"oversized_requests\": " + get(oversized_requests) +
-         ", \"idle_timeouts\": " + get(idle_timeouts) +
-         ", \"disconnects_mid_statement\": " +
-         get(disconnects_mid_statement) +
-         ", \"query_latency\": " + query_latency.Summarize().ToJson() +
-         ", \"mutation_latency\": " +
-         mutation_latency.Summarize().ToJson() + "}";
-}
-
 }  // namespace knnq::server

@@ -1,21 +1,14 @@
 // Server observability: request/connection counters and latency
-// histograms, all updated lock-free from connection and worker threads,
-// snapshotted by the STATS admin verb (JSON) and exported through an
-// obs::MetricsRegistry by the METRICS verb (Prometheus text format).
+// histograms, all updated lock-free from connection and worker threads
+// and registered in the server's obs::MetricsRegistry, which renders
+// them for STATS, METRICS, GET /metrics and /statusz.
 
 #ifndef KNNQ_SRC_SERVER_METRICS_H_
 #define KNNQ_SRC_SERVER_METRICS_H_
 
-#include <cstdint>
-#include <string>
-
 #include "src/obs/metrics_registry.h"
 
 namespace knnq::server {
-
-/// The historical names; the instruments themselves moved to src/obs.
-using LatencySummary = obs::HistogramSummary;
-using LatencyHistogram = obs::Histogram;
 
 /// One relaxed-atomic counter bundle per server. Everything is
 /// monotone except in-flight gauges, which the admission controller
@@ -43,23 +36,16 @@ struct ServerMetrics {
   /// Connections that vanished mid-statement (framing diagnostics).
   obs::Counter disconnects_mid_statement;
 
-  LatencyHistogram query_latency;
-  LatencyHistogram mutation_latency;
+  obs::Histogram query_latency;
+  obs::Histogram mutation_latency;
   /// Front-door costs: statement-text parsing and binding, timed on
-  /// the connection thread. Prometheus-only (not in the STATS JSON,
-  /// whose shape is frozen).
-  LatencyHistogram parse_latency;
-  LatencyHistogram bind_latency;
+  /// the connection thread.
+  obs::Histogram parse_latency;
+  obs::Histogram bind_latency;
 
-  /// Registers every member under its knnq_server_* Prometheus name.
-  /// `this` must outlive `registry`.
+  /// Registers every member under its knnq_server_* name. `this` must
+  /// outlive `registry`.
   void RegisterAll(obs::MetricsRegistry* registry) const;
-
-  /// The `"server"` object of the STATS response. `active_connections`
-  /// and `in_flight` are passed in by the server (they are gauges the
-  /// registry and admission controller own).
-  std::string ToJson(std::size_t active_connections,
-                     std::size_t in_flight) const;
 };
 
 }  // namespace knnq::server

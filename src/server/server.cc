@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -21,48 +20,6 @@
 #include "src/obs/process_stats.h"
 
 namespace knnq::server {
-
-namespace {
-
-/// The engine counters of the STATS response.
-std::string EngineStatsJson(const EngineStatsSnapshot& snapshot) {
-  return "{\"queries\": " + std::to_string(snapshot.queries) +
-         ", \"query_errors\": " + std::to_string(snapshot.query_errors) +
-         ", \"mutations\": " + std::to_string(snapshot.mutations) +
-         ", \"mutation_errors\": " +
-         std::to_string(snapshot.mutation_errors) +
-         ", \"blocks_scanned\": " +
-         std::to_string(snapshot.totals.blocks_scanned) +
-         ", \"blocks_skipped\": " +
-         std::to_string(snapshot.totals.blocks_skipped) +
-         ", \"points_compared\": " +
-         std::to_string(snapshot.totals.points_compared) +
-         ", \"neighborhoods_computed\": " +
-         std::to_string(snapshot.totals.neighborhoods_computed) +
-         ", \"candidates_pruned\": " +
-         std::to_string(snapshot.totals.candidates_pruned) +
-         ", \"arena_bytes\": " +
-         std::to_string(snapshot.totals.arena_bytes) + "}";
-}
-
-std::string CacheStatsJson(const NeighborhoodCache* cache) {
-  if (cache == nullptr) return "null";
-  const NeighborhoodCacheStats stats = cache->GetStats();
-  char rate[32];
-  std::snprintf(rate, sizeof(rate), "%.4f", stats.hit_rate());
-  return "{\"hits\": " + std::to_string(stats.hits) +
-         ", \"misses\": " + std::to_string(stats.misses) +
-         ", \"hit_rate\": " + rate +
-         ", \"insertions\": " + std::to_string(stats.insertions) +
-         ", \"evictions\": " + std::to_string(stats.evictions) +
-         ", \"invalidated\": " + std::to_string(stats.invalidated) +
-         ", \"entries\": " + std::to_string(stats.entries) +
-         ", \"bytes\": " + std::to_string(stats.bytes) +
-         ", \"capacity_bytes\": " +
-         std::to_string(cache->capacity_bytes()) + "}";
-}
-
-}  // namespace
 
 Server::Server(QueryEngine* engine, ServerOptions options)
     : engine_(engine),
@@ -80,6 +37,10 @@ Server::Server(QueryEngine* engine, ServerOptions options)
       "knnq_engine_pool_queue_depth",
       "Engine worker-pool tasks queued and not yet running.", [this] {
         return static_cast<double>(engine_->pool_queue_depth());
+      });
+  registry_.RegisterCallbackGauge(
+      "knnq_engine_pool_threads", "Engine worker-pool threads.", [this] {
+        return static_cast<double>(engine_->num_threads());
       });
 
   // Self-instrumentation: build identity and process vitals, exposed
@@ -112,29 +73,13 @@ Server::Server(QueryEngine* engine, ServerOptions options)
       "HTTP observability requests answered (any status).", [this] {
         return http_ != nullptr ? http_->requests_served() : 0;
       });
-
-  // The ring sampler: saturation and rate trends over a fixed window,
-  // served by /statusz and the HISTORY verb.
-  history_ = std::make_unique<obs::MetricsHistory>(obs::HistoryOptions{
-      .interval_ms = options_.history_interval_ms,
-      .capacity = options_.history_capacity});
-  history_->AddSource("knnq_server_requests_total", [this] {
-    return static_cast<double>(metrics_.requests.Value());
-  });
-  history_->AddSource("knnq_engine_queries_total", [this] {
-    return static_cast<double>(engine_->StatsSnapshot().queries);
-  });
-  history_->AddSource("knnq_server_in_flight", [this] {
-    return static_cast<double>(admission_.in_flight());
-  });
-  history_->AddSource("knnq_server_active_connections", [this] {
-    return static_cast<double>(active_connections());
-  });
-  history_->AddSource("knnq_engine_pool_queue_depth", [this] {
-    return static_cast<double>(engine_->pool_queue_depth());
-  });
-  history_->AddSource("knnq_process_resident_memory_bytes",
-                      [] { return obs::ProcessRssBytes(); });
+  registry_.RegisterCallbackGauge(
+      "knnq_http_active_connections",
+      "Open HTTP observability connections (0 while the plane is off).",
+      [this] {
+        return static_cast<double>(
+            http_ != nullptr ? http_->active_connections() : 0);
+      });
 
   // Engine cumulative totals, snapshotted at scrape time. One
   // StatsSnapshot per metric is fine: METRICS is a scrape path, not a
@@ -183,6 +128,12 @@ Server::Server(QueryEngine* engine, ServerOptions options)
       "knnq_engine_candidates_pruned_total",
       "Join candidates pruned by locality filters.",
       total_counter(&ExecStats::candidates_pruned));
+  registry_.RegisterCallbackGauge(
+      "knnq_engine_max_arena_bytes",
+      "Largest scratch-arena footprint of any one query.", [this] {
+        return static_cast<double>(
+            engine_->StatsSnapshot().totals.arena_bytes);
+      });
 
   if (const NeighborhoodCache* cache = engine_->neighborhood_cache();
       cache != nullptr) {
@@ -220,6 +171,18 @@ Server::Server(QueryEngine* engine, ServerOptions options)
         "knnq_cache_capacity_bytes", "Neighborhood cache capacity.",
         [cache] { return static_cast<double>(cache->capacity_bytes()); });
   }
+
+  // The ring sampler: saturation and rate trends over a fixed window,
+  // served by /statusz and the HISTORY verb.
+  history_ = std::make_unique<obs::MetricsHistory>(
+      &registry_,
+      std::vector<std::string>{
+          "knnq_server_requests_total", "knnq_engine_queries_total",
+          "knnq_server_in_flight", "knnq_server_active_connections",
+          "knnq_engine_pool_queue_depth",
+          "knnq_process_resident_memory_bytes"},
+      obs::HistoryOptions{.interval_ms = options_.history_interval_ms,
+                          .capacity = options_.history_capacity});
 }
 
 Server::~Server() { Stop(); }
@@ -472,10 +435,7 @@ std::size_t Server::active_connections() const {
 }
 
 std::string Server::RenderStats() const {
-  return "{\"status\": \"ok\", \"server\": " +
-         metrics_.ToJson(active_connections(), admission_.in_flight()) +
-         ", \"engine\": " + EngineStatsJson(engine_->StatsSnapshot()) +
-         ", \"cache\": " + CacheStatsJson(engine_->neighborhood_cache()) +
+  return "{\"status\": \"ok\", \"metrics\": " + registry_.RenderJson() +
          "}";
 }
 
@@ -517,30 +477,11 @@ std::string Server::RenderStatusz() const {
   const auto uptime = std::chrono::duration_cast<std::chrono::seconds>(
                           std::chrono::steady_clock::now() - start_time_)
                           .count();
-  std::string http_json = "null";
-  if (http_ != nullptr) {
-    http_json = "{\"port\": " + std::to_string(http_->port()) +
-                ", \"active_connections\": " +
-                std::to_string(http_->active_connections()) +
-                ", \"requests\": " +
-                std::to_string(http_->requests_served()) + "}";
-  }
   return "{\"status\": \"ok\", \"build\": " + obs::BuildInfoJson() +
          ", \"uptime_seconds\": " + std::to_string(uptime) +
          ", \"ready\": " + (reasons.empty() ? "true" : "false") +
          ", \"not_ready_reasons\": " + reasons_json +
-         ", \"server\": " +
-         metrics_.ToJson(active_connections(), admission_.in_flight()) +
-         ", \"engine\": " + EngineStatsJson(engine_->StatsSnapshot()) +
-         ", \"pool\": {\"threads\": " +
-         std::to_string(engine_->num_threads()) +
-         ", \"queue_depth\": " +
-         std::to_string(engine_->pool_queue_depth()) + "}" +
-         ", \"cache\": " + CacheStatsJson(engine_->neighborhood_cache()) +
-         ", \"wal\": " +
-         (options_.wal_status != nullptr ? options_.wal_status()
-                                         : std::string("null")) +
-         ", \"http\": " + http_json +
+         ", \"metrics\": " + registry_.RenderJson() +
          ", \"history\": " + RenderHistory() + "}";
 }
 

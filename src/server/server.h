@@ -124,10 +124,6 @@ struct ServerOptions {
   /// Readiness hook: false when WAL appends are failing (commits can
   /// no longer be made durable). Null when not serving durably.
   std::function<bool()> wal_writable;
-
-  /// The "wal" object of /statusz (DurabilityManager::StatusJson).
-  /// Null renders "wal": null.
-  std::function<std::string()> wal_status;
 };
 
 class Server {
@@ -187,16 +183,17 @@ class Server {
 
   const ServerMetrics& metrics() const { return metrics_; }
 
-  /// The scrape-time registry behind METRICS. Exposed so subsystems
-  /// created outside the server (the durability manager) can register
-  /// their instruments before Start().
+  /// The scrape-time registry behind STATS, METRICS, /metrics,
+  /// /statusz and HISTORY. Exposed so subsystems created outside the
+  /// server (the durability manager) can register their instruments
+  /// before Start().
   obs::MetricsRegistry* registry() { return &registry_; }
 
   std::size_t active_connections() const;
   std::size_t in_flight() const { return admission_.in_flight(); }
 
-  /// The full STATS record body (server + engine + cache objects),
-  /// the payload of the STATS admin verb.
+  /// The STATS record body, `{"status": "ok", "metrics": {...}}`: every
+  /// registered metric as the registry's JSON object.
   std::string RenderStats() const;
 
   /// Every registered metric - server counters and latency histograms,
@@ -210,8 +207,8 @@ class Server {
   /// writable.
   std::vector<std::string> NotReadyReasons() const;
 
-  /// The GET /statusz body: build info, uptime, readiness, server /
-  /// engine / cache / WAL snapshots, HTTP plane stats and the sampled
+  /// The GET /statusz body: build info, uptime, readiness, every
+  /// registered metric (the STATS `metrics` object) and the sampled
   /// time series.
   std::string RenderStatusz() const;
 
@@ -254,7 +251,7 @@ class Server {
   ServerOptions options_;
   ServerMetrics metrics_;
   AdmissionController admission_;
-  /// Scrape-time registry behind RenderPrometheus: server counters and
+  /// Scrape-time registry behind every rendering: server counters and
   /// histograms register directly, engine and cache stats through
   /// callbacks that snapshot at scrape time.
   obs::MetricsRegistry registry_;
@@ -262,7 +259,7 @@ class Server {
   /// The HTTP observability plane; null until StartHttp() with
   /// options.http_enabled.
   std::unique_ptr<obs::HttpServer> http_;
-  /// Ring-buffer time series over selected registry sources.
+  /// Ring-buffer time series over six registry entries.
   std::unique_ptr<obs::MetricsHistory> history_;
   /// True between BeginRecovery and EndRecovery (WAL replay).
   std::atomic<bool> recovering_{false};

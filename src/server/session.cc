@@ -223,17 +223,10 @@ void Session::DispatchAdmin(std::string_view verb) {
     return;
   }
   if (verb == "HISTORY") {
-    if (callbacks_.render_history == nullptr) {
-      metrics_->errors.Add();
-      Respond(JsonErrorRecord(
-          "", "",
-          Status::Unsupported("HISTORY is not available on this server")));
-      return;
-    }
     Respond(callbacks_.render_history());
     return;
   }
-  if (verb == "METRICS" && callbacks_.render_metrics != nullptr) {
+  if (verb == "METRICS") {
     Respond(callbacks_.render_metrics());
     return;
   }

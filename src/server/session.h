@@ -66,18 +66,18 @@ class Session {
     /// session keeps draining without writing.
     std::function<bool(const std::string& line)> write;
 
-    /// Renders the STATS record body (without the id field); the
-    /// server assembles engine + cache + server metrics.
+    /// Renders the STATS record body (without the id field):
+    /// `{"status": "ok", "metrics": {...}}`, the server's metrics
+    /// registry as JSON.
     std::function<std::string()> render_stats;
 
-    /// Renders the METRICS record body: the Prometheus text exposition
-    /// wrapped as `{"status": "ok", "prometheus": "..."}`. Null falls
-    /// back to render_stats (METRICS then aliases STATS).
+    /// Renders the METRICS record body: the same registry as
+    /// Prometheus text exposition, wrapped as `{"status": "ok",
+    /// "prometheus": "..."}`.
     std::function<std::string()> render_metrics;
 
     /// Renders the HISTORY record body: the ring-buffer time series
-    /// wrapped as `{"status": "ok", "history": {...}}`. Null disables
-    /// the verb (it then answers an Unsupported error).
+    /// wrapped as `{"status": "ok", "history": {...}}`.
     std::function<std::string()> render_history;
 
     /// SHUTDOWN verb; null disables the verb (it then answers an

@@ -148,9 +148,11 @@ int StatusOf(const std::string& response) {
 // ------------------------------------------------ history ring buffer
 
 TEST(MetricsHistoryTest, RingWrapsKeepingNewestSamples) {
-  MetricsHistory history({.interval_ms = 1000, .capacity = 4});
+  obs::MetricsRegistry registry;
   double tick = 0.0;
-  history.AddSource("ticks", [&tick] { return tick; });
+  registry.RegisterCallbackGauge("ticks", "t", [&tick] { return tick; });
+  MetricsHistory history(&registry, {"ticks"},
+                         {.interval_ms = 1000, .capacity = 4});
   for (int i = 0; i < 7; ++i) {
     tick = static_cast<double>(i);
     history.SampleOnce();
@@ -163,8 +165,10 @@ TEST(MetricsHistoryTest, RingWrapsKeepingNewestSamples) {
 }
 
 TEST(MetricsHistoryTest, TimestampsMonotoneAcrossWrap) {
-  MetricsHistory history({.interval_ms = 1000, .capacity = 3});
-  history.AddSource("zero", [] { return 0.0; });
+  obs::MetricsRegistry registry;
+  registry.RegisterCallbackGauge("zero", "z", [] { return 0.0; });
+  MetricsHistory history(&registry, {"zero"},
+                         {.interval_ms = 1000, .capacity = 3});
   for (int i = 0; i < 8; ++i) {
     history.SampleOnce();
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -179,10 +183,12 @@ TEST(MetricsHistoryTest, TimestampsMonotoneAcrossWrap) {
 }
 
 TEST(MetricsHistoryTest, SnapshotSeriesShareLengthAndTimestamps) {
-  MetricsHistory history({.interval_ms = 1000, .capacity = 8});
-  history.AddSource("a", [] { return 1.0; });
-  history.AddSource("b", [] { return 2.0; });
-  history.AddSource("c", [] { return 3.0; });
+  obs::MetricsRegistry registry;
+  registry.RegisterCallbackGauge("a", "a", [] { return 1.0; });
+  registry.RegisterCallbackGauge("b", "b", [] { return 2.0; });
+  registry.RegisterCallbackGauge("c", "c", [] { return 3.0; });
+  MetricsHistory history(&registry, {"a", "b", "c"},
+                         {.interval_ms = 1000, .capacity = 8});
   for (int i = 0; i < 5; ++i) history.SampleOnce();
   const obs::HistorySnapshot snap = history.Snapshot();
   ASSERT_EQ(snap.names.size(), 3u);
@@ -194,8 +200,10 @@ TEST(MetricsHistoryTest, SnapshotSeriesShareLengthAndTimestamps) {
 }
 
 TEST(MetricsHistoryTest, StartTakesImmediateSampleAndRendersJson) {
-  MetricsHistory history({.interval_ms = 60'000, .capacity = 16});
-  history.AddSource("answer", [] { return 42.0; });
+  obs::MetricsRegistry registry;
+  registry.RegisterCallbackGauge("answer", "a", [] { return 42.0; });
+  MetricsHistory history(&registry, {"answer"},
+                         {.interval_ms = 60'000, .capacity = 16});
   history.Start();
   // The t=0 sample lands before Start returns; no interval wait needed.
   EXPECT_EQ(history.Snapshot().t_ms.size(), 1u);
@@ -207,9 +215,10 @@ TEST(MetricsHistoryTest, StartTakesImmediateSampleAndRendersJson) {
 }
 
 TEST(MetricsHistoryTest, ConcurrentSamplersAndSnapshots) {
-  MetricsHistory history({.interval_ms = 1, .capacity = 4});
+  obs::MetricsRegistry registry;
   std::atomic<double> value{0.0};
-  history.AddSource("v", [&value] { return value.load(); });
+  registry.RegisterCallbackGauge("v", "v", [&value] { return value.load(); });
+  MetricsHistory history(&registry, {"v"}, {.interval_ms = 1, .capacity = 4});
   history.Start();
   std::thread writer([&value] {
     for (int i = 0; i < 200; ++i) value.store(i);
@@ -221,6 +230,28 @@ TEST(MetricsHistoryTest, ConcurrentSamplersAndSnapshots) {
   }
   writer.join();
   history.Stop();
+}
+
+TEST(MetricsHistoryTest, SamplesRegistryCountersAndRefusesUnknownNames) {
+  obs::MetricsRegistry registry;
+  obs::Counter hits;
+  obs::Histogram latency;
+  registry.RegisterCounter("hits_total", "h", &hits);
+  registry.RegisterHistogram("wait_seconds", "w", &latency);
+  MetricsHistory history(&registry, {"hits_total"});
+  hits.Add(3);
+  history.SampleOnce();
+  hits.Add(2);
+  history.SampleOnce();
+  EXPECT_EQ(history.Snapshot().values[0], (std::vector<double>{3.0, 5.0}));
+
+  // A series the registry lacks (or cannot read as one number) fails
+  // at construction, not on the first sample.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(MetricsHistory(&registry, {"hits_total", "absent_total"}),
+               "KNNQ_CHECK failed.*absent_total");
+  EXPECT_DEATH(MetricsHistory(&registry, {"wait_seconds"}),
+               "KNNQ_CHECK failed.*wait_seconds");
 }
 
 // ------------------------------------------------ http server basics
@@ -486,16 +517,37 @@ TEST(HttpPlaneTest, SelfInstrumentationGaugesExposedOnBothPlanes) {
   ASSERT_EQ(scrape->status, 200);
   const std::string verb = SendStatement(fixture.server.port(), "METRICS;");
   ASSERT_FALSE(verb.empty());
+  const std::string stats = SendStatement(fixture.server.port(), "STATS;");
+  const auto statusz =
+      HttpGet("127.0.0.1", fixture.server.http_port(), "/statusz");
+  ASSERT_TRUE(statusz.ok()) << statusz.status().ToString();
+  const std::vector<std::string> stats_keys =
+      testing::JsonMemberKeys(stats, "metrics");
+  const std::vector<std::string> statusz_keys =
+      testing::JsonMemberKeys(statusz->body, "metrics");
   for (const char* name :
        {"knnq_build_info", "knnq_process_uptime_seconds",
         "knnq_process_resident_memory_bytes", "knnq_process_open_fds",
         "knnq_process_threads", "knnq_engine_pool_queue_depth",
-        "knnq_server_active_connections", "knnq_http_requests_total"}) {
-    EXPECT_NE(scrape->body.find(name), std::string::npos)
+        "knnq_engine_pool_threads", "knnq_server_active_connections",
+        "knnq_http_requests_total", "knnq_http_active_connections",
+        "knnq_engine_max_arena_bytes"}) {
+    EXPECT_NE(scrape->body.find(std::string("\n") + name + " "),
+              std::string::npos)
         << name << " missing from GET /metrics";
-    EXPECT_NE(verb.find(name), std::string::npos)
+    EXPECT_NE(verb.find(std::string("\\n") + name + " "), std::string::npos)
         << name << " missing from the METRICS verb payload";
+    EXPECT_EQ(std::count(stats_keys.begin(), stats_keys.end(), name), 1)
+        << name << " missing from STATS: " << stats;
+    EXPECT_EQ(std::count(statusz_keys.begin(), statusz_keys.end(), name), 1)
+        << name << " missing from /statusz: " << statusz->body;
   }
+  // The pool gauge reads the engine's pool; the scrape that answers
+  // /statusz holds an HTTP connection open while it renders.
+  EXPECT_EQ(testing::JsonNumber(stats, "knnq_engine_pool_threads"),
+            static_cast<double>(fixture.engine.num_threads()));
+  EXPECT_GE(testing::JsonNumber(statusz->body, "knnq_http_active_connections"),
+            1.0);
 }
 
 TEST(HttpPlaneTest, HealthzReadyzStatuszAnswer) {
@@ -514,14 +566,20 @@ TEST(HttpPlaneTest, HealthzReadyzStatuszAnswer) {
   auto statusz = HttpGet("127.0.0.1", port, "/statusz");
   ASSERT_TRUE(statusz.ok());
   EXPECT_EQ(statusz->status, 200);
+  EXPECT_EQ(testing::JsonObjectKeys(statusz->body),
+            (std::vector<std::string>{"status", "build", "uptime_seconds",
+                                      "ready", "not_ready_reasons",
+                                      "metrics", "history"}))
+      << statusz->body;
   for (const char* field :
-       {"\"status\": \"ok\"", "\"build\"", "\"version\"",
-        "\"uptime_seconds\"", "\"ready\": true", "\"server\"",
-        "\"engine\"", "\"pool\"", "\"queue_depth\"", "\"cache\"",
-        "\"wal\": null", "\"http\"", "\"history\"", "\"interval_ms\""}) {
+       {"\"status\": \"ok\"", "\"version\"", "\"ready\": true",
+        "\"not_ready_reasons\": []", "\"interval_ms\""}) {
     EXPECT_NE(statusz->body.find(field), std::string::npos)
         << field << " missing from /statusz: " << statusz->body;
   }
+  // Its metrics object is the registry: the METRICS names, in order.
+  EXPECT_EQ(testing::JsonMemberKeys(statusz->body, "metrics"),
+            testing::PrometheusTypeNames(fixture.server.RenderPrometheus()));
 }
 
 TEST(HttpPlaneTest, StatuszCarriesNonEmptySampledSeries) {

@@ -1,6 +1,6 @@
 // NeighborhoodCache tests: hit/miss accounting, LRU capacity
 // eviction, cross-index-structure determinism of cached values,
-// catalog-generation invalidation, agreement with a reference LRU
+// per-relation invalidation, agreement with a reference LRU
 // model over a long seeded operation sequence, a concurrent stress run
 // (the TSan job's target), and the engine-level guarantee the whole
 // subsystem exists to preserve - a multi-threaded cached RunBatch
@@ -178,23 +178,6 @@ TEST(NeighborhoodCacheTest, CrossIndexStructureDeterminism) {
   EXPECT_EQ(cache.GetStats().entries, 3u * 25u);
 }
 
-TEST(NeighborhoodCacheTest, GenerationChangeInvalidates) {
-  const PointSet points = MakeUniform(200, 41);
-  const auto index = MakeIndex(points);
-  NeighborhoodCache cache;
-  cache.InvalidateIfGenerationChanged(1);
-  CachingKnnSearcher searcher(*index, &cache);
-  (void)searcher.GetKnn(Point{.id = -1, .x = 50, .y = 50}, 3);
-  EXPECT_EQ(cache.GetStats().entries, 1u);
-
-  cache.InvalidateIfGenerationChanged(1);  // Same generation: no-op.
-  EXPECT_EQ(cache.GetStats().entries, 1u);
-
-  cache.InvalidateIfGenerationChanged(2);  // Catalog changed: flush.
-  EXPECT_EQ(cache.GetStats().entries, 0u);
-  EXPECT_EQ(cache.size_bytes(), 0u);
-}
-
 TEST(NeighborhoodCacheTest, PerRelationInvalidationDropsOnlyThatRelation) {
   const PointSet points_a = MakeUniform(200, 42);
   const PointSet points_b = MakeUniform(200, 43);
@@ -315,12 +298,6 @@ class ReferenceCache {
     DropRelation(relation_id);
   }
 
-  void CatalogGenerationChanged(std::uint64_t generation) {
-    if (generation == catalog_generation_) return;
-    catalog_generation_ = generation;
-    Clear();
-  }
-
   void Clear() {
     for (Shard& s : shards_) {
       s.lru.clear();
@@ -354,7 +331,6 @@ class ReferenceCache {
   const std::size_t shard_capacity_;
   NeighborhoodCacheStats stats_;
   std::map<std::uint64_t, std::uint64_t> generations_;
-  std::uint64_t catalog_generation_ = 0;
 };
 
 /// A neighborhood of `size` members whose every field encodes
@@ -465,9 +441,9 @@ TEST_P(CacheModelTest, MatchesReferenceLruOverSeededOperations) {
   NeighborhoodCache cache(SmallCache(capacity, num_shards));
   ReferenceCache model(num_shards, capacity / num_shards);
   Rng rng(4242 + num_shards);
-  // Lookup, Insert, InvalidateRelation, the two generation hooks,
-  // Clear: rare drops, so the budget fills between them and evicts.
-  const std::vector<double> weights = {50, 45, 0.4, 0.5, 0.2, 0.1};
+  // Lookup, Insert, InvalidateRelation, the generation hook, Clear:
+  // rare drops, so the budget fills between them and evicts.
+  const std::vector<double> weights = {50, 45, 0.4, 0.5, 0.1};
   constexpr std::size_t kOps = 40000;
   std::uint64_t version = 0;
   for (std::size_t op = 0; op < kOps; ++op) {
@@ -503,12 +479,6 @@ TEST_P(CacheModelTest, MatchesReferenceLruOverSeededOperations) {
         const std::uint64_t generation = rng.NextIndex(3);
         cache.InvalidateIfGenerationChanged(some_relation, generation);
         model.GenerationChanged(some_relation->instance_id(), generation);
-        break;
-      }
-      case 4: {
-        const std::uint64_t generation = rng.NextIndex(4);
-        cache.InvalidateIfGenerationChanged(generation);
-        model.CatalogGenerationChanged(generation);
         break;
       }
       default:

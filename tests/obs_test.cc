@@ -278,6 +278,28 @@ TEST(MetricsTest, PrometheusRenderShape) {
   ASSERT_NE(help, std::string::npos);
   EXPECT_LT(help, type);
   EXPECT_LT(type, sample);
+
+  // The JSON rendering of the same registry: one key per family, in
+  // registration order; counters as integers, gauges as their value,
+  // histograms as their percentile summary.
+  const std::string json = registry.RenderJson();
+  EXPECT_EQ(testing::JsonObjectKeys(json), testing::PrometheusTypeNames(text));
+  EXPECT_EQ(json, "{\"knnq_test_hits_total\": 5, "
+                  "\"knnq_test_wait_seconds\": " +
+                      latency.Summarize().ToJson() +
+                      ", \"knnq_test_scrapes_total\": 9, "
+                      "\"knnq_test_depth\": 2.5}");
+  EXPECT_NE(json.find("\"knnq_test_wait_seconds\": {\"count\": 2, "),
+            std::string::npos)
+      << json;
+
+  // The name-keyed reader the history samples through: counters and
+  // gauges only.
+  EXPECT_EQ(registry.Read("knnq_test_hits_total"), 5.0);
+  EXPECT_EQ(registry.Read("knnq_test_scrapes_total"), 9.0);
+  EXPECT_EQ(registry.Read("knnq_test_depth"), 2.5);
+  EXPECT_FALSE(registry.Read("knnq_test_wait_seconds").has_value());
+  EXPECT_FALSE(registry.Read("knnq_test_absent").has_value());
 }
 
 // --------------------------------------------- EXPLAIN ANALYZE sums

@@ -27,6 +27,7 @@
 
 #include "gtest/gtest.h"
 #include "src/data/dataset_io.h"
+#include "src/durability/durability_manager.h"
 #include "src/engine/query_engine.h"
 #include "src/lang/parser.h"
 #include "src/lang/unparser.h"
@@ -147,7 +148,8 @@ Catalog MakeServerCatalog() {
 }
 
 struct ServerFixture {
-  explicit ServerFixture(ServerOptions options = {},
+  ServerFixture() : ServerFixture(ServerOptions()) {}
+  explicit ServerFixture(const ServerOptions& options,
                          EngineOptions engine_options = DefaultEngine())
       : engine(MakeServerCatalog(), engine_options),
         server(&engine, options) {
@@ -368,15 +370,16 @@ TEST(ServerAdminTest, StatsPingAndMetricsVerbs) {
   ASSERT_TRUE(client.ReadLine(&response));
   EXPECT_TRUE(response.find("\"pong\": true") != std::string::npos)
       << response;
-  // STATS: the JSON snapshot record (byte layout unchanged by the
-  // metrics registry migration).
+  // STATS: the metrics registry as one JSON object.
   ASSERT_TRUE(client.ReadLine(&response));
-  EXPECT_TRUE(IsOk(response)) << response;
-  EXPECT_TRUE(response.find("\"server\": {") != std::string::npos)
+  EXPECT_EQ(response.rfind("{\"id\": 2, \"status\": \"ok\", \"metrics\": {", 0),
+            0u)
       << response;
-  EXPECT_TRUE(response.find("\"engine\": {") != std::string::npos)
+  EXPECT_EQ(testing::JsonObjectKeys(response),
+            (std::vector<std::string>{"id", "status", "metrics"}))
       << response;
-  EXPECT_TRUE(response.find("\"query_latency\": {") != std::string::npos)
+  EXPECT_TRUE(response.find("\"knnq_server_query_latency_seconds\": "
+                            "{\"count\": ") != std::string::npos)
       << response;
   // METRICS (case-insensitive): Prometheus text exposition, wrapped in
   // the JSON envelope.
@@ -399,6 +402,92 @@ TEST(ServerAdminTest, StatsPingAndMetricsVerbs) {
       << response;
   EXPECT_TRUE(response.find("le=\\\"+Inf\\\"") != std::string::npos)
       << response;
+}
+
+TEST(ServerAdminTest, StatsKeysAreTheMetricsNamesInOrder) {
+  ServerFixture fixture;
+  TestClient client(fixture.server.port());
+  ASSERT_TRUE(client.connected());
+  std::string query, stats, metrics;
+  ASSERT_TRUE(client.Send(std::string(kQuery) + "\n"));
+  ASSERT_TRUE(client.ReadLine(&query));
+  ASSERT_TRUE(IsOk(query)) << query;
+  ASSERT_TRUE(client.Send("STATS;\nMETRICS;\n"));
+  ASSERT_TRUE(client.ReadLine(&stats));
+  ASSERT_TRUE(client.ReadLine(&metrics));
+  ASSERT_TRUE(HasId(stats, 2)) << stats;
+  // One registry renders both: every METRICS family is a STATS key,
+  // in the same order, and nothing else is.
+  const std::vector<std::string> names =
+      testing::PrometheusTypeNames(metrics);
+  ASSERT_GT(names.size(), 40u) << metrics;
+  EXPECT_EQ(testing::JsonMemberKeys(stats, "metrics"), names) << stats;
+  // The query had counted by the time STATS rendered.
+  EXPECT_EQ(testing::JsonNumber(stats, "knnq_server_requests_total"), 2.0);
+  EXPECT_EQ(testing::JsonNumber(stats, "knnq_engine_queries_total"), 1.0);
+}
+
+TEST(ServerAdminTest, DurableServerReportsWalMetricsInStats) {
+  const std::string dir = ::testing::TempDir() + "/knnq_server_wal_stats";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  durability::DurabilityOptions durable_options;
+  durable_options.data_dir = dir;
+  durable_options.sync = durability::WalSyncPolicy::kNone;
+  auto manager = durability::DurabilityManager::Open(durable_options);
+  ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+  EngineOptions engine_options = ServerFixture::DefaultEngine();
+  engine_options.wal = manager->get();
+  QueryEngine engine(MakeServerCatalog(), engine_options);
+  const ServerOptions options;
+  Server server(&engine, options);
+  (*manager)->RegisterMetrics(server.registry());
+  ASSERT_TRUE((*manager)->Recover(&engine).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  std::string stats;
+  ASSERT_TRUE(client.Send("STATS;\n"));
+  ASSERT_TRUE(client.ReadLine(&stats));
+  const std::vector<std::string> keys =
+      testing::JsonMemberKeys(stats, "metrics");
+  std::vector<std::string> wal_keys;
+  for (const std::string& key : keys) {
+    if (key.starts_with("knnq_server_wal_")) wal_keys.push_back(key);
+  }
+  EXPECT_EQ(wal_keys,
+            (std::vector<std::string>{
+                "knnq_server_wal_appends_total", "knnq_server_wal_bytes_total",
+                "knnq_server_wal_syncs_total",
+                "knnq_server_wal_snapshots_total",
+                "knnq_server_wal_replayed_records_total",
+                "knnq_server_wal_size_bytes", "knnq_server_wal_last_lsn",
+                "knnq_server_wal_unsynced_ops",
+                "knnq_server_wal_fsync_lag_seconds"}))
+      << stats;
+
+  // Every applied DML statement appends exactly one WAL record.
+  const double appends =
+      testing::JsonNumber(stats, "knnq_server_wal_appends_total");
+  const double lsn = testing::JsonNumber(stats, "knnq_server_wal_last_lsn");
+  ASSERT_GE(appends, 0.0) << stats;
+  ASSERT_GE(lsn, 0.0) << stats;
+  for (int i = 1; i <= 3; ++i) {
+    std::string response;
+    ASSERT_TRUE(client.Send("INSERT INTO e VALUES (" + std::to_string(i) +
+                            ", 7);\nSTATS;\n"));
+    ASSERT_TRUE(client.ReadLine(&response));
+    EXPECT_TRUE(IsOk(response)) << response;
+    ASSERT_TRUE(client.ReadLine(&stats));
+    EXPECT_EQ(testing::JsonNumber(stats, "knnq_server_wal_appends_total"),
+              appends + i)
+        << stats;
+    EXPECT_EQ(testing::JsonNumber(stats, "knnq_server_wal_last_lsn"),
+              lsn + i)
+        << stats;
+  }
+  server.Stop();
 }
 
 TEST(ServerAdminTest, ExplainAnalyzeReturnsTheSpanTree) {

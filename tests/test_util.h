@@ -1,6 +1,7 @@
 // Shared helpers for the knnq test suite: dataset builders, index
 // construction shortcuts, independent brute-force reference
-// implementations of every query class, and block scan checks. The
+// implementations of every query class, block scan checks, and key
+// readers for the JSON and Prometheus renderings of metrics. The
 // references deliberately use only BruteForceKnn over raw point sets -
 // no index, no locality, no block pruning - so agreement with the
 // optimized evaluators is meaningful evidence of correctness.
@@ -8,7 +9,10 @@
 #ifndef KNNQ_TESTS_TEST_UTIL_H_
 #define KNNQ_TESTS_TEST_UTIL_H_
 
+#include <cstdlib>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -342,6 +346,65 @@ inline void ExpectSameScans(const SpatialIndex& index, BlockScan& held) {
     EXPECT_EQ(PopBlocks(held, limit), PopBlocks(*fresh, limit))
         << "aim " << i << " at " << aims[i].ToString();
   }
+}
+
+/// The keys of the JSON object that starts at `json[0]`, in document
+/// order; keys of nested objects are skipped. Enough for the records
+/// the server renders, so the suite needs no JSON library.
+inline std::vector<std::string> JsonObjectKeys(std::string_view json) {
+  std::vector<std::string> keys;
+  int depth = 0;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (c == '{' || c == '[') {
+      ++depth;
+    } else if (c == '}' || c == ']') {
+      if (--depth == 0) break;
+    } else if (c == '"') {
+      std::size_t end = i + 1;
+      while (end < json.size() && json[end] != '"') {
+        end += json[end] == '\\' ? 2 : 1;
+      }
+      if (depth == 1 && end + 1 < json.size() && json[end + 1] == ':') {
+        keys.emplace_back(json.substr(i + 1, end - i - 1));
+      }
+      i = end;
+    }
+  }
+  return keys;
+}
+
+/// JsonObjectKeys of the first `"name": {...}` member in `json`;
+/// empty when there is none.
+inline std::vector<std::string> JsonMemberKeys(std::string_view json,
+                                               std::string_view name) {
+  const std::string head = "\"" + std::string(name) + "\": {";
+  const std::size_t at = json.find(head);
+  if (at == std::string_view::npos) return {};
+  return JsonObjectKeys(json.substr(at + head.size() - 1));
+}
+
+/// The number after the first `"name": ` in `json`; -1 when absent.
+inline double JsonNumber(std::string_view json, std::string_view name) {
+  const std::string head = "\"" + std::string(name) + "\": ";
+  const std::size_t at = json.find(head);
+  if (at == std::string_view::npos) return -1.0;
+  return std::strtod(std::string(json.substr(at + head.size(), 32)).c_str(),
+                     nullptr);
+}
+
+/// The metric names of a Prometheus exposition's `# TYPE` lines, in
+/// order. Reads the raw text and its JSON-escaped form (the METRICS
+/// record) alike.
+inline std::vector<std::string> PrometheusTypeNames(std::string_view text) {
+  constexpr std::string_view kType = "# TYPE ";
+  std::vector<std::string> names;
+  for (std::size_t at = text.find(kType); at != std::string_view::npos;
+       at = text.find(kType, at)) {
+    at += kType.size();
+    names.emplace_back(text.substr(at, text.find(' ', at) - at));
+  }
+  return names;
 }
 
 }  // namespace knnq::testing

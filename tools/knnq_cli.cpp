@@ -826,7 +826,6 @@ int CmdServe(const Args& args) {
       return manager->Snapshot(engine_ptr);
     };
     server_options.wal_writable = [manager] { return manager->writable(); };
-    server_options.wal_status = [manager] { return manager->StatusJson(); };
   }
   server::Server server(&engine, server_options);
   if (durable != nullptr) durable->RegisterMetrics(server.registry());

@@ -13,6 +13,12 @@
 //   knnq_loadgen --port P --metrics       # print Prometheus text
 //   knnq_loadgen --scrape-http HOST:PORT[/metrics]   # scrape over HTTP
 //
+// --stats prints the STATS record as one JSON line, `{"id": 1,
+// "status": "ok", "metrics": {...}}`: every registered metric keyed by
+// its METRICS name, in the same order (counters as integers, gauges as
+// numbers, histograms as count/mean/p50/p95/p99 summaries in ms), e.g.
+// `knnq_loadgen --port P --stats | jq '.metrics'`.
+//
 // --kill-after-ops N SIGKILLs --kill-pid PID once N statements have
 // been sent: the crash half of a recovery drill. Disconnects after the
 // kill are expected (reported separately) and do not fail the run, but
