@@ -1,18 +1,10 @@
 #include "src/obs/http_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <cstddef>
+#include <string_view>
 #include <utility>
 
 namespace knnq::obs {
@@ -74,7 +66,20 @@ std::size_t FindHeadEnd(const std::string& buffer, std::size_t* head_len) {
 }  // namespace
 
 HttpServer::HttpServer(HttpServerOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)),
+      listener_(
+          TcpListenerOptions{
+              .host = options_.host,
+              .port = options_.port,
+              .max_connections = options_.max_connections,
+              .refusal =
+                  [] {
+                    return std::string(
+                        "HTTP/1.1 503 Service Unavailable\r\n"
+                        "Content-Length: 0\r\nConnection: close\r\n\r\n");
+                  },
+              .write_timeout_ms = options_.write_timeout_ms},
+          [this](TcpConnection& conn) { Serve(conn); }) {}
 
 HttpServer::~HttpServer() { Stop(); }
 
@@ -82,177 +87,21 @@ void HttpServer::AddHandler(std::string path, Handler handler) {
   handlers_[std::move(path)] = std::move(handler);
 }
 
-Status HttpServer::Start() {
-  {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    if (started_) return Status::Internal("http server already started");
-  }
-  if (::pipe(stop_pipe_) != 0) {
-    return Status::IoError(std::string("pipe: ") + std::strerror(errno));
-  }
-  const auto fail = [this](Status status) {
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    listen_fd_ = -1;
-    ::close(stop_pipe_[0]);
-    ::close(stop_pipe_[1]);
-    stop_pipe_[0] = stop_pipe_[1] = -1;
-    return status;
-  };
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return fail(
-        Status::IoError(std::string("socket: ") + std::strerror(errno)));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    return fail(
-        Status::InvalidArgument("bad http address: " + options_.host));
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    return fail(Status::IoError(
-        "bind http " + options_.host + ":" +
-        std::to_string(options_.port) + ": " + std::strerror(errno)));
-  }
-  if (::listen(listen_fd_, SOMAXCONN) != 0) {
-    return fail(
-        Status::IoError(std::string("listen: ") + std::strerror(errno)));
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-
-  {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    started_ = true;
-  }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::Ok();
-}
-
 void HttpServer::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    if (!started_ || stopped_) return;
-    stopped_ = true;
-  }
-  if (!stop_requested_.exchange(true)) {
-    const char byte = 1;
-    [[maybe_unused]] const ssize_t n = ::write(stop_pipe_[1], &byte, 1);
-  }
-  accept_thread_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-
-  std::list<std::unique_ptr<Connection>> connections;
-  {
-    std::lock_guard<std::mutex> lock(connections_mu_);
-    connections.swap(connections_);
-  }
   // Cut, not drained: a scrape is an idempotent read the client simply
   // retries, unlike an accepted KNNQL statement.
-  for (const auto& conn : connections) {
-    ::shutdown(conn->fd, SHUT_RDWR);
-  }
-  for (const auto& conn : connections) {
-    conn->thread.join();
-    ::close(conn->fd);
-  }
-  ::close(stop_pipe_[0]);
-  ::close(stop_pipe_[1]);
-  stop_pipe_[0] = stop_pipe_[1] = -1;
+  listener_.Stop(std::chrono::milliseconds(0));
 }
 
-std::size_t HttpServer::active_connections() const {
-  std::lock_guard<std::mutex> lock(connections_mu_);
-  std::size_t active = 0;
-  for (const auto& conn : connections_) {
-    if (!conn->done.load(std::memory_order_acquire)) ++active;
-  }
-  return active;
-}
-
-void HttpServer::ReapFinished() {
-  std::lock_guard<std::mutex> lock(connections_mu_);
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if ((*it)->done.load(std::memory_order_acquire)) {
-      (*it)->thread.join();
-      ::close((*it)->fd);
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void HttpServer::AcceptLoop() {
-  pollfd fds[2];
-  fds[0] = {.fd = listen_fd_, .events = POLLIN, .revents = 0};
-  fds[1] = {.fd = stop_pipe_[0], .events = POLLIN, .revents = 0};
-  for (;;) {
-    if (stop_requested_.load(std::memory_order_acquire)) break;
-    const int ready = ::poll(fds, 2, 1000);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    ReapFinished();
-    if (ready == 0) continue;
-    if ((fds[1].revents & POLLIN) != 0) break;
-    if ((fds[0].revents & POLLIN) == 0) continue;
-
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    if (options_.max_connections > 0 &&
-        active_connections() >= options_.max_connections) {
-      // Best effort and never blocking: shed the overload.
-      const char refuse[] =
-          "HTTP/1.1 503 Service Unavailable\r\n"
-          "Content-Length: 0\r\nConnection: close\r\n\r\n";
-      [[maybe_unused]] const ssize_t n = ::send(
-          fd, refuse, sizeof(refuse) - 1, MSG_NOSIGNAL | MSG_DONTWAIT);
-      ::close(fd);
-      continue;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (options_.write_timeout_ms > 0) {
-      timeval tv{};
-      tv.tv_sec = options_.write_timeout_ms / 1000;
-      tv.tv_usec =
-          static_cast<suseconds_t>(options_.write_timeout_ms % 1000) *
-          1000;
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    }
-
-    auto conn = std::make_unique<Connection>();
-    Connection* raw = conn.get();
-    raw->fd = fd;
-    {
-      std::lock_guard<std::mutex> lock(connections_mu_);
-      connections_.push_back(std::move(conn));
-    }
-    raw->thread = std::thread([this, raw] { ConnectionLoop(raw); });
-  }
-}
-
-void HttpServer::ConnectionLoop(Connection* conn) {
+void HttpServer::Serve(TcpConnection& conn) {
   std::string buffer;
   std::size_t served = 0;
   while (ServeOne(conn, &buffer)) {
     if (++served >= options_.max_keepalive_requests) break;
   }
-  ::shutdown(conn->fd, SHUT_RDWR);
-  conn->done.store(true, std::memory_order_release);
 }
 
-bool HttpServer::ServeOne(Connection* conn, std::string* buffer) {
+bool HttpServer::ServeOne(TcpConnection& conn, std::string* buffer) {
   // Read until the request head is complete, against one wall-clock
   // deadline for the WHOLE head: a peer that trickles a byte at a time
   // gets no fresh budget per byte.
@@ -260,12 +109,15 @@ bool HttpServer::ServeOne(Connection* conn, std::string* buffer) {
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(options_.read_timeout_ms);
   std::size_t head_len = 0;
-  while (FindHeadEnd(*buffer, &head_len) == std::string::npos) {
-    if (buffer->size() > options_.max_request_bytes) {
-      WriteResponse(conn->fd, HttpResponse{.status = 431, .body = ""},
-                    /*keep_alive=*/false, /*head_only=*/false);
-      return false;
-    }
+  bool oversized = false;
+  for (;;) {
+    const bool complete =
+        FindHeadEnd(*buffer, &head_len) != std::string::npos;
+    // One limit for a head still arriving and for a complete one that
+    // arrived in a single read.
+    oversized = (complete ? head_len : buffer->size()) >
+                options_.max_request_bytes;
+    if (complete || oversized) break;
     const auto remaining =
         std::chrono::duration_cast<std::chrono::milliseconds>(
             deadline - std::chrono::steady_clock::now())
@@ -273,70 +125,62 @@ bool HttpServer::ServeOne(Connection* conn, std::string* buffer) {
     if (options_.read_timeout_ms > 0 && remaining <= 0) {
       return false;  // Slow read: cut the connection, no response.
     }
-    pollfd pfd{.fd = conn->fd, .events = POLLIN, .revents = 0};
     const int tick = options_.read_timeout_ms > 0
                          ? static_cast<int>(std::min<long long>(
                                remaining, 1000))
                          : 1000;
-    const int ready = ::poll(&pfd, 1, tick);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (ready == 0) continue;  // Deadline re-checked above.
     char chunk[8 * 1024];
-    const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-    if (n == 0) return false;  // EOF (client closed or our Stop).
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
+    const std::ptrdiff_t n = conn.Receive(chunk, sizeof(chunk), tick);
+    if (n < 0) return false;  // EOF (client closed or our Stop).
     buffer->append(chunk, static_cast<std::size_t>(n));
   }
-  // The in-loop check only sees incomplete heads; a complete oversized
-  // head arriving in one read must be refused here.
-  if (head_len > options_.max_request_bytes) {
-    WriteResponse(conn->fd, HttpResponse{.status = 431, .body = ""},
+  // Every request read this far is answered, whatever the status: the
+  // one place knnq_http_requests_total counts. Before the handler runs,
+  // so a /metrics body counts the scrape that renders it.
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  if (oversized) {
+    WriteResponse(conn, HttpResponse{.status = 431, .body = ""},
                   /*keep_alive=*/false, /*head_only=*/false);
     return false;
   }
-
-  const std::string head = buffer->substr(0, head_len);
+  bool keep_alive = false;
+  bool head_only = false;
+  const HttpResponse response =
+      Route(std::string_view(*buffer).substr(0, head_len), &keep_alive,
+            &head_only);
   buffer->erase(0, head_len);
+  return WriteResponse(conn, response, keep_alive, head_only) &&
+         keep_alive;
+}
 
+HttpResponse HttpServer::Route(std::string_view head, bool* keep_alive,
+                               bool* head_only) const {
   // Request line: METHOD SP TARGET SP HTTP/x.y
   const std::size_t line_end = head.find('\n');
-  std::string_view line(head.data(), line_end);
+  std::string_view line = head.substr(0, line_end);
   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
   const std::size_t sp1 = line.find(' ');
   const std::size_t sp2 =
       sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
   if (sp1 == std::string_view::npos || sp2 == std::string_view::npos ||
       line.find(' ', sp2 + 1) != std::string_view::npos) {
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    WriteResponse(conn->fd,
-                  HttpResponse{.status = 400, .body = "bad request\n"},
-                  /*keep_alive=*/false, /*head_only=*/false);
-    return false;
+    return HttpResponse{.status = 400, .body = "bad request\n"};
   }
   const std::string_view method = line.substr(0, sp1);
   std::string_view target = line.substr(sp1 + 1, sp2 - sp1 - 1);
   const std::string_view version = line.substr(sp2 + 1);
   if (version != "HTTP/1.1" && version != "HTTP/1.0") {
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    WriteResponse(conn->fd, HttpResponse{.status = 505, .body = ""},
-                  /*keep_alive=*/false, /*head_only=*/false);
-    return false;
+    return HttpResponse{.status = 505, .body = ""};
   }
 
   // Headers: only Connection and Content-Length matter to this plane.
-  bool keep_alive = version == "HTTP/1.1";
+  bool keep = version == "HTTP/1.1";
   bool has_body = false;
   std::size_t pos = line_end + 1;
   while (pos < head.size()) {
     std::size_t eol = head.find('\n', pos);
-    if (eol == std::string::npos) eol = head.size();
-    std::string_view header(head.data() + pos, eol - pos);
+    if (eol == std::string_view::npos) eol = head.size();
+    std::string_view header = head.substr(pos, eol - pos);
     pos = eol + 1;
     header = TrimSpaces(header);
     if (header.empty()) break;
@@ -345,32 +189,25 @@ bool HttpServer::ServeOne(Connection* conn, std::string* buffer) {
     const std::string_view name = TrimSpaces(header.substr(0, colon));
     const std::string_view value = TrimSpaces(header.substr(colon + 1));
     if (IEquals(name, "connection")) {
-      if (IEquals(value, "close")) keep_alive = false;
-      if (IEquals(value, "keep-alive")) keep_alive = true;
+      if (IEquals(value, "close")) keep = false;
+      if (IEquals(value, "keep-alive")) keep = true;
     } else if (IEquals(name, "content-length")) {
       has_body = value != "0";
     } else if (IEquals(name, "transfer-encoding")) {
       has_body = true;
     }
   }
-  requests_.fetch_add(1, std::memory_order_relaxed);
   if (has_body) {
     // Request-line + header parse ONLY: a body would desync keep-alive
     // framing, so refuse and close instead of consuming it.
-    WriteResponse(
-        conn->fd,
-        HttpResponse{.status = 400, .body = "request body not allowed\n"},
-        /*keep_alive=*/false, /*head_only=*/false);
-    return false;
+    return HttpResponse{.status = 400, .body = "request body not allowed\n"};
   }
-  const bool head_only = IEquals(method, "HEAD");
-  if (!IEquals(method, "GET") && !head_only) {
-    return WriteResponse(
-               conn->fd,
-               HttpResponse{.status = 405, .body = "GET only\n"},
-               keep_alive, /*head_only=*/false) &&
-           keep_alive;
+  *keep_alive = keep;
+  const bool is_head = IEquals(method, "HEAD");
+  if (!IEquals(method, "GET") && !is_head) {
+    return HttpResponse{.status = 405, .body = "GET only\n"};
   }
+  *head_only = is_head;
 
   // Exact-path dispatch, query string stripped.
   if (const std::size_t q = target.find('?');
@@ -378,44 +215,24 @@ bool HttpServer::ServeOne(Connection* conn, std::string* buffer) {
     target = target.substr(0, q);
   }
   const auto it = handlers_.find(std::string(target));
-  HttpResponse response =
-      it != handlers_.end()
-          ? it->second()
-          : HttpResponse{.status = 404, .body = "not found\n"};
-  return WriteResponse(conn->fd, response, keep_alive, head_only) &&
-         keep_alive;
+  return it != handlers_.end()
+             ? it->second()
+             : HttpResponse{.status = 404, .body = "not found\n"};
 }
 
-bool HttpServer::WriteResponse(int fd, const HttpResponse& response,
+bool HttpServer::WriteResponse(TcpConnection& conn,
+                               const HttpResponse& response,
                                bool keep_alive, bool head_only) {
-  std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
-                    StatusText(response.status) + "\r\n";
-  out += "Content-Type: " + response.content_type + "\r\n";
-  out += "Content-Length: " + std::to_string(response.body.size()) +
-         "\r\n";
-  out += keep_alive ? "Connection: keep-alive\r\n"
-                    : "Connection: close\r\n";
-  out += "\r\n";
-  if (!head_only) out += response.body;
-
-  const bool bounded = options_.write_timeout_ms > 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options_.write_timeout_ms);
-  std::size_t sent = 0;
-  while (sent < out.size()) {
-    if (bounded && std::chrono::steady_clock::now() >= deadline) {
-      return false;
-    }
-    const ssize_t n = ::send(fd, out.data() + sent, out.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
+  const std::string head =
+      "HTTP/1.1 " + std::to_string(response.status) + " " +
+      StatusText(response.status) + "\r\nContent-Type: " +
+      response.content_type + "\r\nContent-Length: " +
+      std::to_string(response.body.size()) + "\r\nConnection: " +
+      (keep_alive ? "keep-alive" : "close") + "\r\n\r\n";
+  // Head and body in one gathered write: the body (a whole /metrics
+  // exposition) is not copied.
+  return conn.Write(head, head_only ? std::string_view() : response.body) ==
+         TcpConnection::WriteResult::kOk;
 }
 
 }  // namespace knnq::obs

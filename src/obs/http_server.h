@@ -4,11 +4,12 @@
 // Deliberately not a web server: GET/HEAD only, request-line + header
 // parsing only (a body is refused), exact-path handlers, keep-alive
 // with strict wall-clock timeouts on both the read of a request head
-// and the write of a response. Architecture mirrors the KNNQL server:
-// one accept thread, one short-lived thread per connection, a
-// self-pipe to wake the accept loop on Stop, and a bounded connection
-// count (beyond it, accepts are answered 503 and closed) so a scrape
-// storm cannot starve the serving plane.
+// and the write of a response. The socket lifecycle is the KNNQL
+// server's: a TcpListener (src/common/tcp_listener.h) accepts, gives
+// each connection a thread, and bounds the connection count (beyond
+// it, accepts are answered 503 and closed) so a scrape storm cannot
+// starve the serving plane. This class keeps request parsing, routing
+// and the 431/400/405/505 answers.
 //
 // Lives in obs (depends only on common): handlers are closures, so the
 // owning server wires /metrics to its registry without this layer
@@ -20,14 +21,12 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
+#include <string_view>
 
 #include "src/common/status.h"
+#include "src/common/tcp_listener.h"
 
 namespace knnq::obs {
 
@@ -85,7 +84,7 @@ class HttpServer {
   void AddHandler(std::string path, Handler handler);
 
   /// Binds, listens and spawns the accept thread.
-  Status Start();
+  Status Start() { return listener_.Start(); }
 
   /// Closes the listener, cuts open connections and joins everything.
   /// Scrapes are idempotent reads, so unlike the KNNQL plane there is
@@ -93,53 +92,41 @@ class HttpServer {
   void Stop();
 
   /// The bound port (after Start); useful with options.port = 0.
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_.port(); }
 
-  std::size_t active_connections() const;
+  std::size_t active_connections() const {
+    return listener_.active_connections();
+  }
 
-  /// Requests answered (any status) since Start - the
+  /// Requests answered (any status, 431 included) since Start - the
   /// knnq_http_requests_total source.
   std::uint64_t requests_served() const {
     return requests_.load(std::memory_order_relaxed);
   }
 
  private:
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
-  void AcceptLoop();
-  void ConnectionLoop(Connection* conn);
+  /// Answers requests on one connection until it must close.
+  void Serve(TcpConnection& conn);
 
   /// One request-response exchange. Returns false when the connection
   /// must close (error, timeout, Connection: close).
-  bool ServeOne(Connection* conn, std::string* buffer);
+  bool ServeOne(TcpConnection& conn, std::string* buffer);
 
-  bool WriteResponse(int fd, const HttpResponse& response,
+  /// Parses a complete request head and answers it: the handler's
+  /// response, or a 404/400/405/505. Sets whether the connection stays
+  /// open and whether the body is suppressed (HEAD).
+  HttpResponse Route(std::string_view head, bool* keep_alive,
+                     bool* head_only) const;
+
+  bool WriteResponse(TcpConnection& conn, const HttpResponse& response,
                      bool keep_alive, bool head_only);
-  /// Joins and erases finished connections (accept-thread only).
-  void ReapFinished();
 
   HttpServerOptions options_;
   std::map<std::string, Handler> handlers_;
-
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  /// Self-pipe waking the accept loop on Stop.
-  int stop_pipe_[2] = {-1, -1};
-  std::thread accept_thread_;
-
-  std::atomic<bool> stop_requested_{false};
-  std::mutex stop_mu_;
-  bool started_ = false;
-  bool stopped_ = false;
-
   std::atomic<std::uint64_t> requests_{0};
-
-  mutable std::mutex connections_mu_;
-  std::list<std::unique_ptr<Connection>> connections_;
+  /// Declared last: destroyed (its threads joined) before the
+  /// handlers they call.
+  TcpListener listener_;
 };
 
 }  // namespace knnq::obs

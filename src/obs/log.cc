@@ -101,7 +101,9 @@ std::string IsoTimestamp() {
                   1000;
   std::tm utc{};
   gmtime_r(&seconds, &utc);
-  char buf[40];
+  // Room for every field at its widest int, so the compiler can prove
+  // the output fits; a real date takes 24 bytes.
+  char buf[96];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday,
                 utc.tm_hour, utc.tm_min, utc.tm_sec,

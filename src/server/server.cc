@@ -1,18 +1,11 @@
 #include "src/server/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <sys/uio.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <cstddef>
+#include <optional>
+#include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,11 +14,39 @@
 
 namespace knnq::server {
 
+namespace {
+
+/// What a connection refused at max_connections reads before EOF: one
+/// structured `overloaded` error line.
+std::string RefusalLine(std::size_t max_connections) {
+  return WithId(1, JsonErrorRecord(
+                       "", "",
+                       Status::Unavailable(
+                           "overloaded: server at max_connections=" +
+                           std::to_string(max_connections)))) +
+         "\n";
+}
+
+}  // namespace
+
 Server::Server(QueryEngine* engine, ServerOptions options)
     : engine_(engine),
       options_(std::move(options)),
       admission_(options_.max_inflight),
-      start_time_(std::chrono::steady_clock::now()) {
+      start_time_(std::chrono::steady_clock::now()),
+      listener_(
+          TcpListenerOptions{
+              .host = options_.host,
+              .port = options_.port,
+              .max_connections = options_.max_connections,
+              .refusal =
+                  [this] {
+                    metrics_.connection_rejections.Add();
+                    return RefusalLine(options_.max_connections);
+                  },
+              .write_timeout_ms = options_.write_timeout_ms,
+              .sndbuf_bytes = options_.sndbuf_bytes},
+          [this](TcpConnection& conn) { Serve(conn); }) {
   metrics_.RegisterAll(&registry_);
   registry_.RegisterCallbackGauge(
       "knnq_server_active_connections", "Currently open connections.",
@@ -181,70 +202,16 @@ Server::Server(QueryEngine* engine, ServerOptions options)
           "knnq_server_in_flight", "knnq_server_active_connections",
           "knnq_engine_pool_queue_depth",
           "knnq_process_resident_memory_bytes"},
-      obs::HistoryOptions{.interval_ms = options_.history_interval_ms,
-                          .capacity = options_.history_capacity});
+      options_.history);
 }
 
 Server::~Server() { Stop(); }
 
 Status Server::Start() {
-  {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    if (started_) return Status::Internal("server already started");
-  }
   // Idempotent: the durable path already ran this before recovery so
   // /readyz could answer during the replay.
   if (Status s = StartHttp(); !s.ok()) return s;
-
-  if (::pipe(stop_pipe_) != 0) {
-    return Status::IoError(std::string("pipe: ") + std::strerror(errno));
-  }
-  // A failure below must release everything opened so far: a caller
-  // probing ports retries Start in a loop and must not leak fds.
-  const auto fail = [this](Status status) {
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    listen_fd_ = -1;
-    ::close(stop_pipe_[0]);
-    ::close(stop_pipe_[1]);
-    stop_pipe_[0] = stop_pipe_[1] = -1;
-    return status;
-  };
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return fail(
-        Status::IoError(std::string("socket: ") + std::strerror(errno)));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    return fail(
-        Status::InvalidArgument("bad listen address: " + options_.host));
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    return fail(Status::IoError(
-        "bind " + options_.host + ":" + std::to_string(options_.port) +
-        ": " + std::strerror(errno)));
-  }
-  if (::listen(listen_fd_, SOMAXCONN) != 0) {
-    return fail(
-        Status::IoError(std::string("listen: ") + std::strerror(errno)));
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-
-  {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    started_ = true;
-  }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::Ok();
+  return listener_.Start();
 }
 
 Status Server::StartHttp() {
@@ -254,10 +221,7 @@ Status Server::StartHttp() {
   history_->Start();
   if (!options_.http_enabled || http_ != nullptr) return Status::Ok();
 
-  obs::HttpServerOptions http_options = options_.http;
-  http_options.host = options_.http_host;
-  http_options.port = options_.http_port;
-  http_ = std::make_unique<obs::HttpServer>(http_options);
+  http_ = std::make_unique<obs::HttpServer>(options_.http);
   http_->AddHandler("/metrics", [this] {
     obs::HttpResponse response;
     response.content_type = "text/plain; version=0.0.4; charset=utf-8";
@@ -288,126 +252,16 @@ Status Server::StartHttp() {
   return Status::Ok();
 }
 
-void Server::RequestStop() {
-  // Async-signal-safe: one atomic store and one pipe write. The pipe
-  // wakes the accept loop; waiters poll the same pipe (level-
-  // triggered, the byte is never consumed).
-  if (stop_requested_.exchange(true)) return;
-  if (stop_pipe_[1] >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] const ssize_t n = ::write(stop_pipe_[1], &byte, 1);
-  }
-}
-
-void Server::WaitUntilStopRequested() {
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    pollfd pfd{.fd = stop_pipe_[0], .events = POLLIN, .revents = 0};
-    ::poll(&pfd, 1, 100);
-  }
-}
-
 void Server::Stop() {
-  RequestStop();
-  bool drain = false;
-  {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    if (started_ && !stopped_) {
-      stopped_ = true;
-      drain = true;
-    }
-  }
-  if (!drain) {
-    // Start() never ran (or Stop already did the drain); only the
-    // observability plane may need tearing down.
-    StopObservability(false);
-    return;
-  }
-
-  accept_thread_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-
-  // Claim the connection list, then work without the registry lock: a
-  // connection thread answering STATS reads the registry for the
-  // active-connection gauge, and joining it while holding the lock
-  // would deadlock.
-  std::list<std::unique_ptr<Connection>> connections;
-  {
-    std::lock_guard<std::mutex> lock(connections_mu_);
-    connections.swap(connections_);
-  }
-  // Half-close every connection: readers see EOF, drain their
-  // in-flight queries, flush the responses and exit.
-  for (const auto& conn : connections) {
-    ::shutdown(conn->fd, SHUT_RD);
-  }
-  // Bounded drain. SHUT_RD never unblocks a writer, so a peer that
-  // stopped reading could park response writes (and with them the
-  // engine workers delivering them) past any point this join would
-  // reach. Escalation is per connection and progress-aware: one that
-  // goes shutdown_grace_ms without a single response byte reaching
-  // its socket is cut with a full shutdown (the blocked send fails
-  // with EPIPE and its session drains without responses), while a
-  // healthy peer that keeps reading keeps draining - its progress
-  // resets the clock, so no accepted statement of a live reader is
-  // dropped. Every connection ends done or escalated, so the joins
-  // below always return.
+  // A stuck peer is cut after shutdown_grace_ms without write progress;
+  // 0 never cuts.
+  std::optional<std::chrono::milliseconds> grace;
   if (options_.shutdown_grace_ms > 0) {
-    struct DrainWatch {
-      std::uint64_t bytes = 0;
-      std::chrono::steady_clock::time_point last_progress;
-      bool escalated = false;
-    };
-    std::vector<DrainWatch> watch(connections.size());
-    {
-      const auto now = std::chrono::steady_clock::now();
-      std::size_t i = 0;
-      for (const auto& conn : connections) {
-        watch[i].bytes =
-            conn->bytes_written.load(std::memory_order_acquire);
-        watch[i].last_progress = now;
-        ++i;
-      }
-    }
-    const auto grace =
-        std::chrono::milliseconds(options_.shutdown_grace_ms);
-    for (;;) {
-      bool waiting = false;
-      const auto now = std::chrono::steady_clock::now();
-      std::size_t i = 0;
-      for (const auto& conn : connections) {
-        DrainWatch& w = watch[i++];
-        if (w.escalated || conn->done.load(std::memory_order_acquire)) {
-          continue;
-        }
-        const std::uint64_t bytes =
-            conn->bytes_written.load(std::memory_order_acquire);
-        if (bytes != w.bytes) {
-          w.bytes = bytes;
-          w.last_progress = now;
-        }
-        if (now - w.last_progress >= grace) {
-          ::shutdown(conn->fd, SHUT_RDWR);
-          w.escalated = true;
-          continue;
-        }
-        waiting = true;
-      }
-      if (!waiting) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
+    grace = std::chrono::milliseconds(options_.shutdown_grace_ms);
   }
-  for (const auto& conn : connections) {
-    conn->thread.join();
-    ::close(conn->fd);
-  }
-  connections.clear();
-
-  ::close(stop_pipe_[0]);
-  ::close(stop_pipe_[1]);
-  stop_pipe_[0] = stop_pipe_[1] = -1;
-
-  StopObservability(true);
+  // Linger only after a drain this call ran: a second Stop, or one of a
+  // server never started, tears the observability plane down at once.
+  StopObservability(/*linger=*/listener_.Stop(grace));
 }
 
 void Server::StopObservability(bool linger) {
@@ -425,15 +279,6 @@ void Server::StopObservability(bool linger) {
   history_->Stop();
 }
 
-std::size_t Server::active_connections() const {
-  std::lock_guard<std::mutex> lock(connections_mu_);
-  std::size_t active = 0;
-  for (const auto& conn : connections_) {
-    if (!conn->done.load(std::memory_order_acquire)) ++active;
-  }
-  return active;
-}
-
 std::string Server::RenderStats() const {
   return "{\"status\": \"ok\", \"metrics\": " + registry_.RenderJson() +
          "}";
@@ -448,13 +293,8 @@ std::vector<std::string> Server::NotReadyReasons() const {
   if (recovering_.load(std::memory_order_acquire)) {
     reasons.push_back("recovery in progress");
   }
-  {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    if (!started_) reasons.push_back("accept loop not started");
-  }
-  if (stop_requested_.load(std::memory_order_acquire)) {
-    reasons.push_back("draining");
-  }
+  if (!listener_.started()) reasons.push_back("accept loop not started");
+  if (listener_.stop_requested()) reasons.push_back("draining");
   if (options_.max_inflight > 0 &&
       admission_.in_flight() >= options_.max_inflight) {
     reasons.push_back("admission saturated (in_flight at max_inflight=" +
@@ -489,116 +329,41 @@ std::string Server::RenderHistory() const {
   return history_->RenderJson();
 }
 
-void Server::ReapFinished() {
-  std::lock_guard<std::mutex> lock(connections_mu_);
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if ((*it)->done.load(std::memory_order_acquire)) {
-      (*it)->thread.join();
-      ::close((*it)->fd);
-      it = connections_.erase(it);
-    } else {
-      ++it;
+void Server::Serve(TcpConnection& conn) {
+  metrics_.connections_opened.Add();
+  Session::Callbacks callbacks;
+  callbacks.write = [this, &conn](const std::string& line) {
+    // The record and its newline in one gathered write, with no copy
+    // of what can be a multi-megabyte rows payload. On a failure the
+    // connection is broken and drains without responses.
+    const TcpConnection::WriteResult result = conn.Write(line, "\n");
+    if (result == TcpConnection::WriteResult::kTimedOut) {
+      metrics_.write_timeouts.Add();
     }
+    return result == TcpConnection::WriteResult::kOk;
+  };
+  callbacks.render_stats = [this] { return RenderStats(); };
+  callbacks.render_metrics = [this] {
+    return "{\"status\": \"ok\", \"prometheus\": \"" +
+           JsonEscape(RenderPrometheus()) + "\"}";
+  };
+  callbacks.render_history = [this] {
+    return "{\"status\": \"ok\", \"history\": " + RenderHistory() + "}";
+  };
+  if (options_.allow_remote_shutdown) {
+    callbacks.request_shutdown = [this] { RequestStop(); };
   }
-}
-
-void Server::RefuseConnection(int fd) {
-  metrics_.connection_rejections.Add();
-  const std::string line =
-      WithId(1, JsonErrorRecord(
-                    "", "",
-                    Status::Unavailable(
-                        "overloaded: server at max_connections=" +
-                        std::to_string(options_.max_connections)))) +
-      "\n";
-  // Best effort and never blocking: the accept thread must not stall
-  // on a peer that is part of the overload it is shedding.
-  [[maybe_unused]] const ssize_t n = ::send(
-      fd, line.data(), line.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
-  ::close(fd);
-}
-
-void Server::AcceptLoop() {
-  pollfd fds[2];
-  fds[0] = {.fd = listen_fd_, .events = POLLIN, .revents = 0};
-  fds[1] = {.fd = stop_pipe_[0], .events = POLLIN, .revents = 0};
-  for (;;) {
-    // A RequestStop issued before Start had a pipe to write leaves
-    // only the flag; check it so the loop cannot block forever.
-    if (stop_requested_.load(std::memory_order_acquire)) break;
-    // Bounded wait so finished connections are reaped within ~1s even
-    // when no new client ever connects; an idle server must not
-    // retain the last burst's unjoined threads indefinitely.
-    const int ready = ::poll(fds, 2, 1000);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    ReapFinished();
-    if (ready == 0) continue;
-    if ((fds[1].revents & POLLIN) != 0) break;
-    if ((fds[0].revents & POLLIN) == 0) continue;
-
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    if (options_.max_connections > 0 &&
-        active_connections() >= options_.max_connections) {
-      RefuseConnection(fd);
-      continue;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (options_.write_timeout_ms > 0) {
-      timeval tv{};
-      tv.tv_sec = options_.write_timeout_ms / 1000;
-      tv.tv_usec =
-          static_cast<suseconds_t>(options_.write_timeout_ms % 1000) * 1000;
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    }
-    if (options_.sndbuf_bytes > 0) {
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.sndbuf_bytes,
-                   sizeof(options_.sndbuf_bytes));
-    }
-
-    metrics_.connections_opened.Add();
-    auto conn = std::make_unique<Connection>();
-    Connection* raw = conn.get();
-    raw->fd = fd;
-    Session::Callbacks callbacks;
-    callbacks.write = [this, raw](const std::string& line) {
-      return WriteLine(raw, line);
+  if (options_.snapshot_handler != nullptr) {
+    callbacks.snapshot = [this]() -> std::string {
+      auto lsn = options_.snapshot_handler();
+      if (!lsn.ok()) return JsonErrorRecord("", "", lsn.status());
+      return "{\"status\": \"ok\", \"snapshot_lsn\": " +
+             std::to_string(*lsn) + "}";
     };
-    callbacks.render_stats = [this] { return RenderStats(); };
-    callbacks.render_metrics = [this] {
-      return "{\"status\": \"ok\", \"prometheus\": \"" +
-             JsonEscape(RenderPrometheus()) + "\"}";
-    };
-    callbacks.render_history = [this] {
-      return "{\"status\": \"ok\", \"history\": " + RenderHistory() + "}";
-    };
-    if (options_.allow_remote_shutdown) {
-      callbacks.request_shutdown = [this] { RequestStop(); };
-    }
-    if (options_.snapshot_handler != nullptr) {
-      callbacks.snapshot = [this]() -> std::string {
-        auto lsn = options_.snapshot_handler();
-        if (!lsn.ok()) return JsonErrorRecord("", "", lsn.status());
-        return "{\"status\": \"ok\", \"snapshot_lsn\": " +
-               std::to_string(*lsn) + "}";
-      };
-    }
-    raw->session = std::make_unique<Session>(
-        engine_, options_.limits, &metrics_, &admission_,
-        std::move(callbacks));
-    {
-      std::lock_guard<std::mutex> lock(connections_mu_);
-      connections_.push_back(std::move(conn));
-    }
-    raw->thread = std::thread([this, raw] { ConnectionLoop(raw); });
   }
-}
+  Session session(engine_, options_.limits, &metrics_, &admission_,
+                  std::move(callbacks));
 
-void Server::ConnectionLoop(Connection* conn) {
   char buffer[64 * 1024];
   // Why the connection ended; only a peer-initiated end (EOF or a
   // read error) counts toward the mid-statement-disconnect metric.
@@ -609,9 +374,9 @@ void Server::ConnectionLoop(Connection* conn) {
     // A write timeout marks the connection broken from a worker
     // thread: its responses are undeliverable, so parking the reader
     // here would pin the connection slot (and its thread) until the
-    // peer deigns to close. The bounded poll tick below exists so
-    // this check runs even when no input ever arrives.
-    if (conn->broken.load(std::memory_order_relaxed)) {
+    // peer deigns to close. The bounded wait below exists so this
+    // check runs even when no input ever arrives.
+    if (conn.broken()) {
       close = Close::kBroken;
       break;
     }
@@ -619,20 +384,15 @@ void Server::ConnectionLoop(Connection* conn) {
     if (options_.idle_timeout_ms > 0) {
       tick = std::min(tick, options_.idle_timeout_ms - idle_ms);
     }
-    pollfd pfd{.fd = conn->fd, .events = POLLIN, .revents = 0};
-    const int ready = ::poll(&pfd, 1, tick);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (ready == 0) {
+    const std::ptrdiff_t n = conn.Receive(buffer, sizeof(buffer), tick);
+    if (n < 0) break;  // EOF (client close or our SHUT_RD) or error.
+    if (n == 0) {
       idle_ms += tick;
       if (options_.idle_timeout_ms > 0 &&
           idle_ms >= options_.idle_timeout_ms) {
         // Idle expiry only when truly quiet: nothing in flight and no
         // partial statement buffered; otherwise the clock restarts.
-        if (conn->session->in_flight() == 0 &&
-            !conn->session->has_buffered_input()) {
+        if (session.in_flight() == 0 && !session.has_buffered_input()) {
           metrics_.idle_timeouts.Add();
           close = Close::kIdle;
           break;
@@ -642,93 +402,18 @@ void Server::ConnectionLoop(Connection* conn) {
       continue;
     }
     idle_ms = 0;
-    const ssize_t n = ::recv(conn->fd, buffer, sizeof(buffer), 0);
-    if (n == 0) break;  // EOF (client close or our SHUT_RD).
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (!conn->session->Consume(
+    if (!session.Consume(
             std::string_view(buffer, static_cast<std::size_t>(n)))) {
       close = Close::kRejected;  // Oversized; error already sent.
       break;
     }
   }
   // Drain: every admitted query completes and writes its response
-  // before the connection is torn down.
-  conn->session->WaitIdle();
-  if (close == Close::kPeer) conn->session->FinishInput();
-  ::shutdown(conn->fd, SHUT_RDWR);
+  // before the session goes (OnQueryDone notifies under its lock, so
+  // destroying the session once WaitIdle returns is safe).
+  session.WaitIdle();
+  if (close == Close::kPeer) session.FinishInput();
   metrics_.connections_closed.Add();
-  conn->done.store(true, std::memory_order_release);
-}
-
-bool Server::WriteLine(Connection* conn, const std::string& line) {
-  if (conn->broken.load(std::memory_order_relaxed)) return false;
-  std::lock_guard<std::mutex> lock(conn->write_mu);
-  // Re-check under the lock: writers queued behind the one that timed
-  // out must fail immediately, not each burn a full deadline of their
-  // own against the same dead socket.
-  if (conn->broken.load(std::memory_order_relaxed)) return false;
-  // Gathered write: record + '\n' in one syscall, no copy of what can
-  // be a multi-megabyte rows payload.
-  const char newline = '\n';
-  iovec iov[2] = {
-      {.iov_base = const_cast<char*>(line.data()), .iov_len = line.size()},
-      {.iov_base = const_cast<char*>(&newline), .iov_len = 1},
-  };
-  msghdr msg{};
-  msg.msg_iov = iov;
-  msg.msg_iovlen = 2;
-  std::size_t sent = 0;
-  const std::size_t total = line.size() + 1;
-  // The write deadline is wall-clock for the WHOLE response, not per
-  // send() call: SO_SNDTIMEO alone resets on any progress, so a peer
-  // trickle-reading a byte every few seconds would still park this
-  // worker indefinitely. SO_SNDTIMEO's role is merely to bound each
-  // blocking send so the clock below actually gets checked.
-  const bool bounded = options_.write_timeout_ms > 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options_.write_timeout_ms);
-  while (sent < total) {
-    if (bounded && std::chrono::steady_clock::now() >= deadline) {
-      metrics_.write_timeouts.Add();
-      conn->broken.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    const ssize_t n = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      // EAGAIN here is SO_SNDTIMEO expiring with zero progress: the
-      // peer stopped reading. The connection is broken either way;
-      // distinguishing the cause is only for the metrics.
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        metrics_.write_timeouts.Add();
-      }
-      conn->broken.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-    conn->bytes_written.fetch_add(static_cast<std::uint64_t>(n),
-                                  std::memory_order_release);
-    // Advance the iovec past what went out (short writes happen when
-    // the socket buffer fills under pipelined responses).
-    std::size_t skip = static_cast<std::size_t>(n);
-    while (skip > 0 && msg.msg_iovlen > 0) {
-      if (skip >= msg.msg_iov[0].iov_len) {
-        skip -= msg.msg_iov[0].iov_len;
-        ++msg.msg_iov;
-        --msg.msg_iovlen;
-      } else {
-        msg.msg_iov[0].iov_base =
-            static_cast<char*>(msg.msg_iov[0].iov_base) + skip;
-        msg.msg_iov[0].iov_len -= skip;
-        skip = 0;
-      }
-    }
-  }
-  return true;
 }
 
 }  // namespace knnq::server

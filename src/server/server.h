@@ -1,13 +1,14 @@
-// Server: the TCP front end that puts the wire protocol of
+// Server: the KNNQL front end that puts the wire protocol of
 // src/server/wire.h on a socket.
 //
-// Architecture: one accept thread, one reader thread per connection
-// (serving-scale fan-in is bounded by admission control, not by the
-// connection count), query execution on the shared QueryEngine worker
-// pool. Responses are written by whichever thread finishes the work -
-// engine workers for queries, the connection thread for everything
-// else - under a per-connection write lock, one JSONL line per
-// response.
+// Architecture: a TcpListener (src/common/tcp_listener.h) accepts and
+// gives each connection a reader thread (serving-scale fan-in is
+// bounded by admission control, not by the connection count); this
+// class wires each connection to a Session. Queries execute on the
+// shared QueryEngine worker pool. Responses are written by whichever
+// thread finishes the work - engine workers for queries, the
+// connection thread for everything else - as one gathered write of
+// the record and its newline.
 //
 // Graceful shutdown (Stop): stop accepting, half-close every
 // connection's read side, let each connection drain its in-flight
@@ -22,14 +23,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <list>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/common/tcp_listener.h"
 #include "src/engine/query_engine.h"
 #include "src/obs/history.h"
 #include "src/obs/http_server.h"
@@ -103,16 +103,12 @@ struct ServerOptions {
   /// it. Start it with StartHttp() — before Start(), so /readyz can
   /// answer "recovery in progress" while the WAL replays.
   bool http_enabled = false;
-  std::string http_host = "127.0.0.1";
-  /// 0 picks an ephemeral port (read it back with http_port()).
-  std::uint16_t http_port = 0;
-  /// Limits of the HTTP plane itself (scrape connections, timeouts).
+  /// The plane's address, port (0 picks an ephemeral one; read it
+  /// back with http_port()) and limits.
   obs::HttpServerOptions http;
 
-  /// Ring-buffer time-series sampling period (--history-interval-ms)
-  /// and retention; 600 x 1 s = 10 minutes.
-  int history_interval_ms = 1000;
-  std::size_t history_capacity = 600;
+  /// The ring-buffer time series behind /statusz and HISTORY.
+  obs::HistoryOptions history;
 
   /// After the KNNQL drain completes, Stop() keeps the HTTP plane up
   /// for this window answering /readyz with 503 "draining", the
@@ -160,7 +156,7 @@ class Server {
   }
 
   /// The bound port (after Start); useful with options.port = 0.
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_.port(); }
 
   /// The HTTP plane's bound port (after StartHttp); 0 when disabled.
   std::uint16_t http_port() const {
@@ -170,12 +166,12 @@ class Server {
   /// Requests a stop from any thread (signal handlers included: an
   /// atomic store plus a write to a pipe). Does not wait. Call Start
   /// first.
-  void RequestStop();
+  void RequestStop() { listener_.RequestStop(); }
 
   /// Blocks until RequestStop (SHUTDOWN verb, signal, or any caller).
   /// Must not race Stop() - the usual shape is Start / WaitUntil /
   /// Stop on the owning thread.
-  void WaitUntilStopRequested();
+  void WaitUntilStopRequested() { listener_.WaitUntilStopRequested(); }
 
   /// Graceful shutdown as described above. Idempotent; implies
   /// RequestStop.
@@ -189,7 +185,10 @@ class Server {
   /// before Start().
   obs::MetricsRegistry* registry() { return &registry_; }
 
-  std::size_t active_connections() const;
+  /// Open connections, a draining one included until it is joined.
+  std::size_t active_connections() const {
+    return listener_.active_connections();
+  }
   std::size_t in_flight() const { return admission_.in_flight(); }
 
   /// The STATS record body, `{"status": "ok", "metrics": {...}}`: every
@@ -220,28 +219,10 @@ class Server {
   obs::MetricsHistory* history() { return history_.get(); }
 
  private:
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-    std::unique_ptr<Session> session;
-    std::mutex write_mu;
-    std::atomic<bool> done{false};
-    /// Writes failed (peer gone): stop attempting responses.
-    std::atomic<bool> broken{false};
-    /// Total response bytes that reached the socket; Stop()'s
-    /// escalation distinguishes a draining peer (advancing) from a
-    /// stuck one (stalled) by watching it.
-    std::atomic<std::uint64_t> bytes_written{0};
-  };
-
-  void AcceptLoop();
-  void ConnectionLoop(Connection* conn);
-  bool WriteLine(Connection* conn, const std::string& line);
-  /// Joins and erases finished connections (accept-thread only).
-  void ReapFinished();
-  /// Answers `fd` with one `overloaded` error line (best effort,
-  /// non-blocking) and closes it: the max_connections refusal.
-  void RefuseConnection(int fd);
+  /// One connection's life on its listener thread: a Session fed from
+  /// the socket until EOF, the idle timeout, a failed write or an
+  /// oversized statement, then drained.
+  void Serve(TcpConnection& conn);
 
   /// Stops the HTTP plane (after the drain-linger window when
   /// `linger`) and the history sampler. Idempotent.
@@ -266,20 +247,9 @@ class Server {
   /// Construction time, the uptime gauge's epoch.
   std::chrono::steady_clock::time_point start_time_;
 
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  /// Self-pipe waking the accept loop on RequestStop.
-  int stop_pipe_[2] = {-1, -1};
-  std::thread accept_thread_;
-
-  std::atomic<bool> stop_requested_{false};
-  /// Mutable: NotReadyReasons() is const and checks started_.
-  mutable std::mutex stop_mu_;
-  bool started_ = false;
-  bool stopped_ = false;
-
-  mutable std::mutex connections_mu_;
-  std::list<std::unique_ptr<Connection>> connections_;
+  /// Accepts and owns the connections. Declared last: it is
+  /// destroyed (its threads joined) before anything they use.
+  TcpListener listener_;
 };
 
 }  // namespace knnq::server

@@ -1,12 +1,18 @@
-// Unit tests for src/common: geometry, status, rng, stopwatch, and
-// the strict text parsers (including the locale-independence
-// regression: number parsing must not bend under LC_NUMERIC).
+// Unit tests for src/common: geometry, status, rng, stopwatch, the
+// strict text parsers (including the locale-independence regression:
+// number parsing must not bend under LC_NUMERIC), and the TCP listener
+// both serving planes run on.
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <clocale>
 #include <cmath>
+#include <filesystem>
+#include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -15,7 +21,9 @@
 #include "src/common/random.h"
 #include "src/common/status.h"
 #include "src/common/stopwatch.h"
+#include "src/common/tcp_listener.h"
 #include "src/common/text_parse.h"
+#include "tests/test_util.h"
 
 namespace knnq {
 namespace {
@@ -443,6 +451,95 @@ TEST(TextParseTest, ParseDoubleIgnoresCommaDecimalLocale) {
   EXPECT_EQ(point->y, 2.5);
 
   std::setlocale(LC_NUMERIC, "C");
+}
+
+// ------------------------------------------------------- TCP listener
+
+std::size_t OpenFds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(TcpListenerTest, FailedStartReleasesEveryFd) {
+  TcpListener held(TcpListenerOptions{}, [](TcpConnection&) {});
+  ASSERT_TRUE(held.Start().ok());
+  const std::size_t before = OpenFds();
+
+  TcpListener bad_address(TcpListenerOptions{.host = "not-an-address"},
+                          [](TcpConnection&) {});
+  const Status refused = bad_address.Start();
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+      << refused.ToString();
+  EXPECT_EQ(OpenFds(), before);
+
+  TcpListener port_taken(TcpListenerOptions{.port = held.port()},
+                         [](TcpConnection&) {});
+  const Status in_use = port_taken.Start();
+  EXPECT_EQ(in_use.code(), StatusCode::kIoError) << in_use.ToString();
+  EXPECT_EQ(OpenFds(), before);
+  EXPECT_FALSE(port_taken.started());
+  // Nothing ran, so there is nothing to stop.
+  EXPECT_FALSE(port_taken.Stop(std::chrono::milliseconds(0)));
+  EXPECT_TRUE(held.Stop(std::chrono::milliseconds(0)));
+}
+
+TEST(TcpListenerTest, StopWithoutGraceJoinsOnceReadersSeeEof) {
+  TcpListener listener(TcpListenerOptions{}, [](TcpConnection& conn) {
+    std::string line;
+    char chunk[256];
+    while (line.find('\n') == std::string::npos) {
+      const std::ptrdiff_t n = conn.Receive(chunk, sizeof(chunk), 1000);
+      if (n < 0) return;
+      line.append(chunk, static_cast<std::size_t>(n));
+    }
+    line.pop_back();
+    EXPECT_EQ(conn.Write("echo " + line, "\n"),
+              TcpConnection::WriteResult::kOk);
+    // Read until the stop's half-close ends the input.
+    while (conn.Receive(chunk, sizeof(chunk), 1000) >= 0) {
+    }
+  });
+  ASSERT_TRUE(listener.Start().ok());
+  testing::TestClient client(listener.port());
+  ASSERT_TRUE(client.Send("hello\n"));
+  std::string line;
+  ASSERT_TRUE(client.ReadLine(&line));
+  EXPECT_EQ(line, "echo hello");
+  EXPECT_EQ(listener.active_connections(), 1u);
+  // nullopt never cuts: the join waits for the reader, which the
+  // half-close wakes.
+  EXPECT_TRUE(listener.Stop(std::nullopt));
+  EXPECT_EQ(listener.active_connections(), 0u);
+  EXPECT_TRUE(client.ReadEof());
+}
+
+TEST(TcpListenerTest, StopCutsAWriterWhosePeerStoppedReading) {
+  std::atomic<int> result{-1};
+  TcpListener listener(
+      TcpListenerOptions{.sndbuf_bytes = 4096},
+      [&result](TcpConnection& conn) {
+        // No write deadline: only the stop's grace can end this write.
+        const std::string big(4 << 20, 'x');
+        result = static_cast<int>(conn.Write(big));
+      });
+  ASSERT_TRUE(listener.Start().ok());
+  testing::TestClient stuck(listener.port(), /*rcvbuf=*/4096);
+  ASSERT_TRUE(stuck.connected());
+  for (int i = 0; i < 500 && listener.active_connections() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(listener.active_connections(), 1u);
+  // Cut after 50 ms without progress, whether or not the write has
+  // started: either way it fails.
+  EXPECT_TRUE(listener.Stop(std::chrono::milliseconds(50)));
+  EXPECT_EQ(result.load(),
+            static_cast<int>(TcpConnection::WriteResult::kFailed));
+  EXPECT_EQ(listener.active_connections(), 0u);
+  EXPECT_FALSE(listener.Stop(std::chrono::milliseconds(0)));
 }
 
 }  // namespace

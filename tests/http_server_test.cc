@@ -8,13 +8,6 @@
 
 #include "src/obs/http_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -42,103 +35,7 @@ using obs::MetricsHistory;
 using server::HttpGet;
 using server::Server;
 using server::ServerOptions;
-
-// ----------------------------------------------------- socket helpers
-
-/// Raw HTTP client for the parsing and keep-alive tests: sends bytes
-/// verbatim, reads responses either to EOF (Connection: close) or with
-/// Content-Length framing (keep-alive).
-class RawHttpClient {
- public:
-  explicit RawHttpClient(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ =
-        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
-        0;
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-
-  ~RawHttpClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool connected() const { return connected_; }
-
-  bool Send(std::string_view bytes) {
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + sent,
-                               bytes.size() - sent, MSG_NOSIGNAL);
-      if (n < 0) return false;
-      sent += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  /// Everything until the peer closes (single-response tests).
-  std::string ReadAll(int timeout_ms = 5000) {
-    while (Fill(timeout_ms)) {
-    }
-    return std::exchange(buffer_, std::string());
-  }
-
-  /// One head + Content-Length-framed body without consuming past it,
-  /// so a keep-alive connection can read the next response after.
-  bool ReadResponse(std::string* head, std::string* body,
-                    int timeout_ms = 5000) {
-    std::size_t head_end;
-    while ((head_end = buffer_.find("\r\n\r\n")) == std::string::npos) {
-      if (!Fill(timeout_ms)) return false;
-    }
-    head->assign(buffer_, 0, head_end);
-    const std::size_t length = ContentLengthOf(*head);
-    while (buffer_.size() < head_end + 4 + length) {
-      if (!Fill(timeout_ms)) return false;
-    }
-    body->assign(buffer_, head_end + 4, length);
-    buffer_.erase(0, head_end + 4 + length);
-    return true;
-  }
-
-  /// True when the peer cleanly closed with nothing buffered.
-  bool ReadEof(int timeout_ms = 5000) {
-    if (!buffer_.empty()) return false;
-    return !Fill(timeout_ms) && eof_;
-  }
-
- private:
-  static std::size_t ContentLengthOf(const std::string& head) {
-    // The server emits canonical casing; no need to fold case here.
-    const std::size_t at = head.find("Content-Length:");
-    if (at == std::string::npos) return 0;
-    return static_cast<std::size_t>(
-        std::atoll(head.c_str() + at + std::strlen("Content-Length:")));
-  }
-
-  /// One recv into the buffer. False on EOF (sets eof_) or timeout.
-  bool Fill(int timeout_ms) {
-    pollfd pfd{.fd = fd_, .events = POLLIN, .revents = 0};
-    if (::poll(&pfd, 1, timeout_ms) <= 0) return false;
-    char chunk[16 * 1024];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      eof_ = n == 0;
-      return false;
-    }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
-    return true;
-  }
-
-  int fd_ = -1;
-  bool connected_ = false;
-  bool eof_ = false;
-  std::string buffer_;
-};
+using testing::TestClient;
 
 int StatusOf(const std::string& response) {
   if (response.rfind("HTTP/1.", 0) != 0) return 0;
@@ -293,25 +190,25 @@ TEST(HttpServerTest, MalformedRequestsAreRefused) {
   ASSERT_TRUE(http.Start().ok());
 
   {  // Not a request line at all.
-    RawHttpClient client(http.port());
+    TestClient client(http.port());
     ASSERT_TRUE(client.connected());
     ASSERT_TRUE(client.Send("BOGUS\r\n\r\n"));
     EXPECT_EQ(StatusOf(client.ReadAll()), 400);
   }
   {  // Non-GET methods are rejected, not dispatched (keep-alive
      // survives a 405, so ask for close to frame the read).
-    RawHttpClient client(http.port());
+    TestClient client(http.port());
     ASSERT_TRUE(
         client.Send("POST /ping HTTP/1.1\r\nConnection: close\r\n\r\n"));
     EXPECT_EQ(StatusOf(client.ReadAll()), 405);
   }
   {  // Unsupported protocol version.
-    RawHttpClient client(http.port());
+    TestClient client(http.port());
     ASSERT_TRUE(client.Send("GET /ping HTTP/2.0\r\n\r\n"));
     EXPECT_EQ(StatusOf(client.ReadAll()), 505);
   }
   {  // A request body is refused (this is a read-only plane).
-    RawHttpClient client(http.port());
+    TestClient client(http.port());
     ASSERT_TRUE(client.Send(
         "GET /ping HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc"));
     EXPECT_EQ(StatusOf(client.ReadAll()), 400);
@@ -325,11 +222,16 @@ TEST(HttpServerTest, OversizedHeadAnswered431) {
   HttpServer http(options);
   http.AddHandler("/ping", [] { return HttpResponse{.body = "pong"}; });
   ASSERT_TRUE(http.Start().ok());
-  RawHttpClient client(http.port());
+  TestClient client(http.port());
   ASSERT_TRUE(client.connected());
   ASSERT_TRUE(client.Send("GET /ping HTTP/1.1\r\nX-Pad: " +
                           std::string(512, 'a') + "\r\n\r\n"));
   EXPECT_EQ(StatusOf(client.ReadAll()), 431);
+  // A 431 is an answered request: it counts like the 200 after it.
+  const auto ok = HttpGet("127.0.0.1", http.port(), "/ping");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->status, 200);
+  EXPECT_EQ(http.requests_served(), 2u);
   http.Stop();
 }
 
@@ -337,7 +239,7 @@ TEST(HttpServerTest, KeepAliveServesManyRequestsOnOneConnection) {
   HttpServer http(SmallHttp());
   http.AddHandler("/ping", [] { return HttpResponse{.body = "pong"}; });
   ASSERT_TRUE(http.Start().ok());
-  RawHttpClient client(http.port());
+  TestClient client(http.port());
   ASSERT_TRUE(client.connected());
   std::string head;
   std::string body;
@@ -364,7 +266,7 @@ TEST(HttpServerTest, HeadAnswersHeadersWithoutBody) {
   HttpServer http(SmallHttp());
   http.AddHandler("/ping", [] { return HttpResponse{.body = "pong"}; });
   ASSERT_TRUE(http.Start().ok());
-  RawHttpClient client(http.port());
+  TestClient client(http.port());
   ASSERT_TRUE(client.Send(
       "HEAD /ping HTTP/1.1\r\nConnection: close\r\n\r\n"));
   const std::string raw = client.ReadAll();
@@ -382,7 +284,7 @@ TEST(HttpServerTest, SlowReaderCutAtDeadlineWithoutResponse) {
   HttpServer http(options);
   http.AddHandler("/ping", [] { return HttpResponse{.body = "pong"}; });
   ASSERT_TRUE(http.Start().ok());
-  RawHttpClient client(http.port());
+  TestClient client(http.port());
   ASSERT_TRUE(client.connected());
   // A trickled, never-completed head: the server must cut the
   // connection (EOF, no response bytes) once the deadline expires.
@@ -399,14 +301,14 @@ TEST(HttpServerTest, ConnectionsBeyondCapRefusedWith503) {
   ASSERT_TRUE(http.Start().ok());
   // Camp the only slot with a completed keep-alive exchange, so the
   // connection is past accept and provably registered.
-  RawHttpClient camper(http.port());
+  TestClient camper(http.port());
   ASSERT_TRUE(camper.Send("GET /ping HTTP/1.1\r\n\r\n"));
   std::string head;
   std::string body;
   ASSERT_TRUE(camper.ReadResponse(&head, &body));
   ASSERT_EQ(StatusOf(head), 200);
 
-  RawHttpClient refused(http.port());
+  TestClient refused(http.port());
   ASSERT_TRUE(refused.connected());
   const std::string raw = refused.ReadAll();
   EXPECT_EQ(StatusOf(raw), 503) << raw;
@@ -432,8 +334,7 @@ EngineOptions SmallEngine() {
 ServerOptions HttpServerEnabled() {
   ServerOptions options;
   options.http_enabled = true;
-  options.history_interval_ms = 50;
-  options.history_capacity = 64;
+  options.history = {.interval_ms = 50, .capacity = 64};
   return options;
 }
 
@@ -484,7 +385,7 @@ TEST(HttpPlaneTest, MetricsBodyByteIdenticalToInProcessRender) {
   // floored uptime second ticking over). Every line is compared byte
   // for byte except the RSS sample's value, which only has to be
   // present and positive on both planes.
-  RawHttpClient client(fixture.server.http_port());
+  TestClient client(fixture.server.http_port());
   ASSERT_TRUE(client.connected());
   bool identical = false;
   std::string body;

@@ -6,13 +6,6 @@
 
 #include "src/server/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -41,82 +34,9 @@ namespace {
 
 using server::Server;
 using server::ServerOptions;
+using testing::TestClient;
 
-// ----------------------------------------------------- socket helpers
-
-/// Minimal blocking test client speaking the JSONL protocol.
-class TestClient {
- public:
-  /// `rcvbuf` > 0 shrinks SO_RCVBUF before connecting, so a client
-  /// that stops reading backs the server's writes up quickly (the
-  /// stuck-peer tests).
-  explicit TestClient(std::uint16_t port, int rcvbuf = 0) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (rcvbuf > 0) {
-      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-
-  ~TestClient() { Close(); }
-
-  bool connected() const { return connected_; }
-
-  void Close() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
-  bool Send(std::string_view bytes) {
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + sent,
-                               bytes.size() - sent, MSG_NOSIGNAL);
-      if (n < 0) return false;
-      sent += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  /// Reads one '\n'-terminated line (stripped). False on EOF/timeout.
-  bool ReadLine(std::string* line, int timeout_ms = 10000) {
-    for (;;) {
-      const std::size_t eol = buffer_.find('\n');
-      if (eol != std::string::npos) {
-        line->assign(buffer_, 0, eol);
-        buffer_.erase(0, eol + 1);
-        return true;
-      }
-      pollfd pfd{.fd = fd_, .events = POLLIN, .revents = 0};
-      if (::poll(&pfd, 1, timeout_ms) <= 0) return false;
-      char chunk[8192];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return false;
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-  /// True when the peer cleanly closed (EOF) with no stray bytes.
-  bool ReadEof(int timeout_ms = 10000) {
-    if (!buffer_.empty()) return false;
-    pollfd pfd{.fd = fd_, .events = POLLIN, .revents = 0};
-    if (::poll(&pfd, 1, timeout_ms) <= 0) return false;
-    char chunk[256];
-    return ::recv(fd_, chunk, sizeof(chunk), 0) == 0;
-  }
-
- private:
-  int fd_ = -1;
-  bool connected_ = false;
-  std::string buffer_;
-};
+// ---------------------------------------------------- response helpers
 
 /// `{"id": N, ...` prefix check.
 bool HasId(const std::string& response, std::uint64_t id) {
@@ -746,6 +666,38 @@ TEST(ServerStuckPeerTest, StopEscalatesWhenPeerStopsReading) {
   fixture.server.Stop();  // Must return: grace, then SHUT_RDWR.
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_LT(elapsed, std::chrono::seconds(30));
+}
+
+TEST(ServerStuckPeerTest, DrainingConnectionStaysCounted) {
+  ServerOptions options;
+  options.sndbuf_bytes = 4096;
+  // No per-write deadline, and a grace long enough to look inside the
+  // drain: the stuck peer is cut only after 2 s without progress.
+  options.write_timeout_ms = 0;
+  options.shutdown_grace_ms = 2000;
+  options.max_inflight = 64;
+  options.limits.max_conn_inflight = 64;
+  EngineOptions engine_options;
+  engine_options.num_threads = 2;
+  engine_options.pool_queue_limit = 256;
+  ServerFixture fixture(options, engine_options);
+
+  TestClient stuck(fixture.server.port(), /*rcvbuf=*/4096);
+  ASSERT_TRUE(stuck.connected());
+  std::string burst;
+  for (int i = 0; i < 8; ++i) burst += BigQuery(i) + "\n";
+  ASSERT_TRUE(stuck.Send(burst));
+  // Let a writer block on the full socket first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  std::thread stopper([&fixture] { fixture.server.Stop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  // Mid-drain: queries are still in flight on the stuck connection,
+  // and the connection they belong to is still open.
+  EXPECT_GE(fixture.server.in_flight(), 1u);
+  EXPECT_GE(fixture.server.active_connections(), 1u);
+  stopper.join();
+  EXPECT_EQ(fixture.server.active_connections(), 0u);
 }
 
 TEST(ServerStuckPeerTest, ConnectionCapRefusesExtraClients) {

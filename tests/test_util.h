@@ -1,7 +1,8 @@
 // Shared helpers for the knnq test suite: dataset builders, index
 // construction shortcuts, independent brute-force reference
-// implementations of every query class, block scan checks, and key
-// readers for the JSON and Prometheus renderings of metrics. The
+// implementations of every query class, block scan checks, key
+// readers for the JSON and Prometheus renderings of metrics, and the
+// loopback socket client of the serving tests. The
 // references deliberately use only BruteForceKnn over raw point sets -
 // no index, no locality, no block pruning - so agreement with the
 // optimized evaluators is meaningful evidence of correctness.
@@ -9,6 +10,14 @@
 #ifndef KNNQ_TESTS_TEST_UTIL_H_
 #define KNNQ_TESTS_TEST_UTIL_H_
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -406,6 +415,125 @@ inline std::vector<std::string> PrometheusTypeNames(std::string_view text) {
   }
   return names;
 }
+
+/// A blocking loopback client for the serving tests: sends bytes
+/// verbatim and reads newline-terminated lines (the KNNQL plane) or
+/// Content-Length-framed responses (the HTTP plane).
+class TestClient {
+ public:
+  /// `rcvbuf` > 0 shrinks SO_RCVBUF before connecting, so a client
+  /// that stops reading backs the server's writes up quickly (the
+  /// stuck-peer tests).
+  explicit TestClient(std::uint16_t port, int rcvbuf = 0) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (rcvbuf > 0) {
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    connected_ = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                           sizeof(addr)) == 0;
+    const int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
+
+  ~TestClient() { Close(); }
+
+  TestClient(const TestClient&) = delete;
+  TestClient& operator=(const TestClient&) = delete;
+
+  bool connected() const { return connected_; }
+
+  void Close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+  bool Send(std::string_view bytes) {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n = ::send(fd_, bytes.data() + sent,
+                               bytes.size() - sent, MSG_NOSIGNAL);
+      if (n < 0) return false;
+      sent += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  /// Reads one '\n'-terminated line (stripped). False on EOF/timeout.
+  bool ReadLine(std::string* line, int timeout_ms = 10000) {
+    std::size_t eol = 0;
+    while ((eol = buffer_.find('\n')) == std::string::npos) {
+      if (!Fill(timeout_ms)) return false;
+    }
+    line->assign(buffer_, 0, eol);
+    buffer_.erase(0, eol + 1);
+    return true;
+  }
+
+  /// One head + Content-Length-framed body without consuming past it,
+  /// so a keep-alive connection can read the next response after.
+  bool ReadResponse(std::string* head, std::string* body,
+                    int timeout_ms = 10000) {
+    std::size_t head_end = 0;
+    while ((head_end = buffer_.find("\r\n\r\n")) == std::string::npos) {
+      if (!Fill(timeout_ms)) return false;
+    }
+    head->assign(buffer_, 0, head_end);
+    const std::size_t length = ContentLengthOf(*head);
+    while (buffer_.size() < head_end + 4 + length) {
+      if (!Fill(timeout_ms)) return false;
+    }
+    body->assign(buffer_, head_end + 4, length);
+    buffer_.erase(0, head_end + 4 + length);
+    return true;
+  }
+
+  /// Everything until the peer closes (single-response tests).
+  std::string ReadAll(int timeout_ms = 10000) {
+    while (Fill(timeout_ms)) {
+    }
+    return std::exchange(buffer_, std::string());
+  }
+
+  /// True when the peer cleanly closed (EOF) with no stray bytes.
+  bool ReadEof(int timeout_ms = 10000) {
+    if (!buffer_.empty()) return false;
+    return !Fill(timeout_ms) && eof_;
+  }
+
+ private:
+  static std::size_t ContentLengthOf(const std::string& head) {
+    // The server emits canonical casing; no need to fold case here.
+    constexpr std::string_view kField = "Content-Length:";
+    const std::size_t at = head.find(kField);
+    if (at == std::string::npos) return 0;
+    return static_cast<std::size_t>(
+        std::atoll(head.c_str() + at + kField.size()));
+  }
+
+  /// One recv into the buffer. False on EOF (sets eof_), error or
+  /// timeout.
+  bool Fill(int timeout_ms) {
+    pollfd pfd{.fd = fd_, .events = POLLIN, .revents = 0};
+    if (::poll(&pfd, 1, timeout_ms) <= 0) return false;
+    char chunk[16 * 1024];
+    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    if (n <= 0) {
+      eof_ = n == 0;
+      return false;
+    }
+    buffer_.append(chunk, static_cast<std::size_t>(n));
+    return true;
+  }
+
+  int fd_ = -1;
+  bool connected_ = false;
+  bool eof_ = false;
+  std::string buffer_;
+};
 
 }  // namespace knnq::testing
 

@@ -56,6 +56,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -196,6 +197,19 @@ Result<std::size_t> GetCacheMb(const Args& args) {
                                    std::to_string(SIZE_MAX >> 20));
   }
   return cache_mb;
+}
+
+/// A millisecond flag of `serve`: absent means `fallback`, and a value
+/// the server's int milliseconds cannot hold is refused rather than
+/// wrapped (4294967295 would become -1).
+Result<std::size_t> GetMillisOr(const Args& args, const std::string& flag,
+                                std::size_t fallback) {
+  auto ms = args.GetSizeOr(flag, fallback);
+  if (ms.ok() && *ms > static_cast<std::size_t>(INT_MAX)) {
+    return Status::InvalidArgument(flag + " must be <= " +
+                                   std::to_string(INT_MAX));
+  }
+  return ms;
 }
 
 bool EndsWith(const std::string& s, const std::string& suffix) {
@@ -682,6 +696,48 @@ void HandleTermSignal(int) {
 }
 
 int CmdServe(const Args& args) {
+  // Every numeric flag is checked before any file is opened or loaded,
+  // so a bad value costs no data load.
+  auto cache_mb = GetCacheMb(args);
+  auto threads = args.GetSizeOr("--threads", 0);
+  auto port = args.GetSizeOr("--port", 4410);
+  auto max_inflight = args.GetSizeOr("--max-inflight", 64);
+  auto max_conn_inflight = args.GetSizeOr("--max-conn-inflight", 16);
+  auto max_request_bytes =
+      args.GetSizeOr("--max-request-bytes", std::size_t{1} << 20);
+  auto idle_timeout_ms = GetMillisOr(args, "--idle-timeout-ms", 0);
+  auto max_connections = args.GetSizeOr("--max-connections", 256);
+  auto write_timeout_ms = GetMillisOr(args, "--write-timeout-ms", 10000);
+  auto shutdown_grace_ms = GetMillisOr(args, "--shutdown-grace-ms", 5000);
+  auto http_port = args.GetSizeOr("--http-port", 0);
+  auto history_interval_ms =
+      GetMillisOr(args, "--history-interval-ms", 1000);
+  auto drain_linger_ms = GetMillisOr(args, "--drain-linger-ms", 0);
+  auto sync_every = args.GetSizeOr("--wal-sync-interval-ops", 64);
+  auto snap_every = args.GetSizeOr("--snapshot-interval-ops", 0);
+  for (const auto* flag :
+       {&cache_mb, &threads, &port, &max_inflight, &max_conn_inflight,
+        &max_request_bytes, &idle_timeout_ms, &max_connections,
+        &write_timeout_ms, &shutdown_grace_ms, &http_port,
+        &history_interval_ms, &drain_linger_ms, &sync_every,
+        &snap_every}) {
+    if (!flag->ok()) return Fail(flag->status());
+  }
+  if (*port > 65535) {
+    return Fail(Status::InvalidArgument("--port must be <= 65535"));
+  }
+  if (*http_port > 65535) {
+    return Fail(Status::InvalidArgument("--http-port must be <= 65535"));
+  }
+  if (*history_interval_ms == 0) {
+    return Fail(Status::InvalidArgument(
+        "--history-interval-ms must be a positive integer"));
+  }
+  if (args.Has("--http-host") && !args.Has("--http-port")) {
+    return Fail(
+        Status::InvalidArgument("--http-host requires --http-port"));
+  }
+
   auto index_options = ParseIndexFlags(args);
   if (!index_options.ok()) return Fail(index_options.status());
 
@@ -698,10 +754,6 @@ int CmdServe(const Args& args) {
         durability::ParseWalSyncPolicy(args.GetOr("--wal-sync", "always"));
     if (!sync.ok()) return Fail(sync.status());
     wal_sync = *sync;
-    auto sync_every = args.GetSizeOr("--wal-sync-interval-ops", 64);
-    if (!sync_every.ok()) return Fail(sync_every.status());
-    auto snap_every = args.GetSizeOr("--snapshot-interval-ops", 0);
-    if (!snap_every.ok()) return Fail(snap_every.status());
     durability::DurabilityOptions durable_options;
     durable_options.data_dir = data_dir;
     durable_options.sync = wal_sync;
@@ -743,42 +795,6 @@ int CmdServe(const Args& args) {
     }
   }
 
-  auto cache_mb = GetCacheMb(args);
-  auto threads = args.GetSizeOr("--threads", 0);
-  auto port = args.GetSizeOr("--port", 4410);
-  auto max_inflight = args.GetSizeOr("--max-inflight", 64);
-  auto max_conn_inflight = args.GetSizeOr("--max-conn-inflight", 16);
-  auto max_request_bytes =
-      args.GetSizeOr("--max-request-bytes", std::size_t{1} << 20);
-  auto idle_timeout_ms = args.GetSizeOr("--idle-timeout-ms", 0);
-  auto max_connections = args.GetSizeOr("--max-connections", 256);
-  auto write_timeout_ms = args.GetSizeOr("--write-timeout-ms", 10000);
-  auto shutdown_grace_ms = args.GetSizeOr("--shutdown-grace-ms", 5000);
-  auto http_port = args.GetSizeOr("--http-port", 0);
-  auto history_interval_ms = args.GetSizeOr("--history-interval-ms", 1000);
-  auto drain_linger_ms = args.GetSizeOr("--drain-linger-ms", 0);
-  for (const auto* flag :
-       {&cache_mb, &threads, &port, &max_inflight, &max_conn_inflight,
-        &max_request_bytes, &idle_timeout_ms, &max_connections,
-        &write_timeout_ms, &shutdown_grace_ms, &http_port,
-        &history_interval_ms, &drain_linger_ms}) {
-    if (!flag->ok()) return Fail(flag->status());
-  }
-  if (*port > 65535) {
-    return Fail(Status::InvalidArgument("--port must be <= 65535"));
-  }
-  if (*http_port > 65535) {
-    return Fail(Status::InvalidArgument("--http-port must be <= 65535"));
-  }
-  if (*history_interval_ms == 0) {
-    return Fail(Status::InvalidArgument(
-        "--history-interval-ms must be a positive integer"));
-  }
-  if (args.Has("--http-host") && !args.Has("--http-port")) {
-    return Fail(
-        Status::InvalidArgument("--http-host requires --http-port"));
-  }
-
   EngineOptions options;
   options.num_threads = *threads;
   options.cache_mb = *cache_mb;
@@ -814,9 +830,9 @@ int CmdServe(const Args& args) {
   server_options.allow_remote_shutdown =
       args.Has("--allow-remote-shutdown");
   server_options.http_enabled = args.Has("--http-port");
-  server_options.http_host = args.GetOr("--http-host", "127.0.0.1");
-  server_options.http_port = static_cast<std::uint16_t>(*http_port);
-  server_options.history_interval_ms =
+  server_options.http.host = args.GetOr("--http-host", "127.0.0.1");
+  server_options.http.port = static_cast<std::uint16_t>(*http_port);
+  server_options.history.interval_ms =
       static_cast<int>(*history_interval_ms);
   server_options.drain_linger_ms = static_cast<int>(*drain_linger_ms);
   if (durable != nullptr) {
@@ -840,7 +856,7 @@ int CmdServe(const Args& args) {
   if (server_options.http_enabled) {
     std::printf("observability HTTP on %s:%u "
                 "(/metrics /healthz /readyz /statusz)\n",
-                server_options.http_host.c_str(), server.http_port());
+                server_options.http.host.c_str(), server.http_port());
     std::fflush(stdout);
   }
 
