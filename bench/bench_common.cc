@@ -4,11 +4,15 @@
 #include <map>
 #include <memory>
 #include <tuple>
+#include <utility>
+#include <variant>
 
 #include "src/common/check.h"
 #include "src/data/berlinmod.h"
 #include "src/data/clustered.h"
 #include "src/data/uniform.h"
+#include "src/lang/binder.h"
+#include "src/lang/parser.h"
 
 namespace knnq::bench {
 
@@ -97,6 +101,25 @@ const SpatialIndex& IndexOf(const PointSet& points, IndexType type) {
     slot = std::move(index.value());
   }
   return *slot;
+}
+
+Result<std::vector<QuerySpec>> BindQueryWorkload(std::string_view text,
+                                                 const Catalog& catalog) {
+  auto script = knnql::ParseScript(text);
+  if (!script.ok()) return script.status();
+  std::vector<QuerySpec> specs;
+  specs.reserve(script->size());
+  for (const knnql::Statement& statement : *script) {
+    const auto* query = std::get_if<knnql::Query>(&statement.body);
+    if (query == nullptr) {
+      return knnql::ErrorAt(statement.pos,
+                            "a query workload cannot hold DML statements");
+    }
+    auto spec = knnql::Bind(*query, &catalog);
+    if (!spec.ok()) return spec.status();
+    specs.push_back(std::move(spec.value()));
+  }
+  return specs;
 }
 
 }  // namespace knnq::bench

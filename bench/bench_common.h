@@ -13,13 +13,18 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "benchmark/benchmark.h"
 #include "src/common/bbox.h"
 #include "src/common/point.h"
+#include "src/common/status.h"
 #include "src/core/exec_stats.h"
 #include "src/index/index_factory.h"
 #include "src/index/spatial_index.h"
+#include "src/planner/catalog.h"
+#include "src/planner/query_spec.h"
 
 namespace knnq::bench {
 
@@ -52,6 +57,13 @@ const SpatialIndex& IndexOf(const PointSet& points,
 /// ad-hoc per-bench stopwatch/counter plumbing: evaluators report the
 /// uniform counters and their measured wall time directly.
 void ReportExecStats(benchmark::State& state, const ExecStats& stats);
+
+/// Reads a committed .knnql query workload: parses `text`, binds every
+/// statement against `catalog`, and returns the specs in script order.
+/// A workload holds queries only, so a DML statement is refused at its
+/// position.
+Result<std::vector<QuerySpec>> BindQueryWorkload(std::string_view text,
+                                                 const Catalog& catalog);
 
 }  // namespace knnq::bench
 

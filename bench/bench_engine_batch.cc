@@ -182,7 +182,8 @@ std::string& WorkloadPath(const char* kind) {
 std::vector<QuerySpec> LoadWorkload(const std::string& path) {
   auto text = ReadTextFile(path);
   KNNQ_CHECK_MSG(text.ok(), text.status().ToString().c_str());
-  auto specs = EngineWith(1, /*cache_mb=*/0).ParseBatch(*text);
+  auto specs =
+      BindQueryWorkload(*text, EngineWith(1, /*cache_mb=*/0).catalog());
   KNNQ_CHECK_MSG(specs.ok(), specs.status().ToString().c_str());
   return std::move(specs.value());
 }

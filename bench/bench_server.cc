@@ -155,10 +155,7 @@ const Workload& WorkloadOf(const char* kind) {
   } else {
     auto text = ReadTextFile(path);
     KNNQ_CHECK_MSG(text.ok(), text.status().ToString().c_str());
-    EngineOptions options;
-    options.num_threads = 1;
-    const QueryEngine parser(MakeCatalog(), options);
-    auto specs = parser.ParseBatch(*text);
+    auto specs = BindQueryWorkload(*text, MakeCatalog());
     KNNQ_CHECK_MSG(specs.ok(), specs.status().ToString().c_str());
     workload.specs = std::move(specs.value());
     auto statements = server::SplitStatements(*text);

@@ -8,36 +8,22 @@ namespace knnq {
 Result<JoinResult> KnnJoin(const PointSet& outer, const SpatialIndex& inner,
                            std::size_t k, ExecStats* exec,
                            NeighborhoodCache* shared_cache) {
-  JoinResult pairs;
-  const Status status = KnnJoinStreaming(
-      outer, inner, k,
-      [&pairs](const Point& e1, const Point& e2) {
-        pairs.push_back(JoinPair{e1, e2});
-      },
-      exec, shared_cache);
-  if (!status.ok()) return status;
-  Canonicalize(pairs);
-  return pairs;
-}
-
-Status KnnJoinStreaming(const PointSet& outer, const SpatialIndex& inner,
-                        std::size_t k, const JoinPairSink& sink,
-                        ExecStats* exec, NeighborhoodCache* shared_cache) {
   if (k == 0) {
     return Status::InvalidArgument("kNN-join requires k > 0");
   }
+  JoinResult pairs;
   CachingKnnSearcher searcher(inner, shared_cache);
   {
     PhaseSpan phase("join_probe", &searcher.stats());
     for (const Point& e1 : outer) {
-      const Neighborhood nbr = searcher.GetKnn(e1, k);
-      for (const Neighbor& n : nbr) {
-        sink(e1, n.point);
+      for (const Neighbor& n : searcher.GetKnn(e1, k)) {
+        pairs.push_back(JoinPair{e1, n.point});
       }
     }
   }
   if (exec != nullptr) exec->AddSearch(searcher.stats());
-  return Status::Ok();
+  Canonicalize(pairs);
+  return pairs;
 }
 
 }  // namespace knnq

@@ -1,15 +1,10 @@
 // kNN-join: E1 JOIN_kNN E2 - all pairs (e1, e2) where e2 is among the k
 // closest points of E2 to e1. The paper's second base operation.
 //
-// The join is evaluated per outer tuple with the locality-based getkNN;
-// there is both a materializing form and a streaming form (the
-// conceptually correct QEPs pipe pairs through a filter without keeping
-// the full cross-product in memory).
+// The join is evaluated per outer tuple with the locality-based getkNN.
 
 #ifndef KNNQ_SRC_CORE_KNN_JOIN_H_
 #define KNNQ_SRC_CORE_KNN_JOIN_H_
-
-#include <functional>
 
 #include "src/common/status.h"
 #include "src/core/exec_stats.h"
@@ -20,10 +15,6 @@ namespace knnq {
 
 class NeighborhoodCache;  // src/engine/neighborhood_cache.h
 
-/// Receives one join pair at a time; return value is ignored.
-using JoinPairSink = std::function<void(const Point& outer,
-                                        const Point& inner)>;
-
 /// Evaluates the kNN-join and materializes all pairs in canonical order.
 /// Fails when k == 0. `exec` (optional) accumulates scan counters;
 /// `shared_cache` (optional) memoizes per-outer-point probes across
@@ -31,13 +22,6 @@ using JoinPairSink = std::function<void(const Point& outer,
 Result<JoinResult> KnnJoin(const PointSet& outer, const SpatialIndex& inner,
                            std::size_t k, ExecStats* exec = nullptr,
                            NeighborhoodCache* shared_cache = nullptr);
-
-/// Streaming evaluation: emits each (e1, e2) pair to `sink` in outer
-/// order. Fails when k == 0.
-Status KnnJoinStreaming(const PointSet& outer, const SpatialIndex& inner,
-                        std::size_t k, const JoinPairSink& sink,
-                        ExecStats* exec = nullptr,
-                        NeighborhoodCache* shared_cache = nullptr);
 
 }  // namespace knnq
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <type_traits>
 
@@ -323,23 +324,6 @@ void NeighborhoodCache::InvalidateRelation(const SpatialIndex* relation) {
     }
     bytes_.fetch_sub(dropped_bytes, std::memory_order_relaxed);
   }
-}
-
-void NeighborhoodCache::InvalidateIfGenerationChanged(
-    const SpatialIndex* relation, std::uint64_t generation) {
-  {
-    std::lock_guard<std::mutex> lock(relation_generations_mu_);
-    // A first observation still invalidates: entries cached before the
-    // relation was ever reported here date from an older generation.
-    auto [it, inserted] =
-        relation_generations_.try_emplace(relation->instance_id(),
-                                          generation);
-    if (!inserted) {
-      if (it->second == generation) return;
-      it->second = generation;
-    }
-  }
-  InvalidateRelation(relation);
 }
 
 NeighborhoodCacheStats NeighborhoodCache::GetStats() const {

@@ -34,8 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/point.h"
@@ -106,14 +104,9 @@ class NeighborhoodCache {
   /// Drops only the entries cached for `relation`, leaving every other
   /// relation's neighborhoods hot — the point of keying invalidation
   /// per relation instead of nuking the cache on any catalog change.
+  /// QueryEngine::ExecuteDml calls it when a write moved the relation's
+  /// Catalog generation.
   void InvalidateRelation(const SpatialIndex* relation);
-
-  /// Per-relation generation hook: when `generation` differs from the
-  /// last value observed for `relation`, that relation's entries (and
-  /// only those) are dropped. QueryEngine::ExecuteDml calls this with
-  /// the mutated relation's new Catalog generation.
-  void InvalidateIfGenerationChanged(const SpatialIndex* relation,
-                                     std::uint64_t generation);
 
   NeighborhoodCacheStats GetStats() const;
 
@@ -138,10 +131,6 @@ class NeighborhoodCache {
   const int shard_bits_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::size_t> bytes_{0};
-  /// Last generation observed per relation instance id (per-relation
-  /// invalidation).
-  mutable std::mutex relation_generations_mu_;
-  std::unordered_map<std::uint64_t, std::uint64_t> relation_generations_;
 };
 
 /// Drop-in KnnSearcher with an optional shared cache behind GetKnn.

@@ -6,13 +6,10 @@
 #include <optional>
 #include <thread>
 #include <utility>
-#include <variant>
 
 #include "src/common/stopwatch.h"
 #include "src/data/dataset_io.h"
 #include "src/engine/neighborhood_cache.h"
-#include "src/lang/knnql.h"
-#include "src/lang/parser.h"
 #include "src/lang/unparser.h"
 #include "src/obs/log.h"
 
@@ -275,12 +272,21 @@ EngineResult QueryEngine::ExecuteDml(DmlRequest request) {
   {
     obs::ScopedSpan span("dml_apply");
     std::unique_lock<std::shared_mutex> lock(catalog_mu_);
+    // The target's generation before the apply. The cache drops the
+    // relation's entries only when the apply moved it: a 0-row DELETE
+    // keeps them, a failed batch drops them iff it applied a prefix. A
+    // relation LOAD creates has no entries yet.
+    const Relation* target = nullptr;
+    if (auto existing = catalog_.Get(request.relation); existing.ok()) {
+      target = *existing;
+    }
+    const std::uint64_t generation_before =
+        target != nullptr ? target->generation : 0;
     // Log-before-apply, but only requests that will actually touch
     // data: a mutate against an unknown relation fails below without
     // changing anything, so it earns no WAL record.
     if (options_.wal != nullptr &&
-        (request.kind == DmlRequest::Kind::kLoad ||
-         catalog_.Has(request.relation))) {
+        (request.kind == DmlRequest::Kind::kLoad || target != nullptr)) {
       obs::ScopedSpan wal_span("wal_append");
       auto assigned = options_.wal->BeginCommit(request);
       if (!assigned.ok()) {
@@ -298,24 +304,16 @@ EngineResult QueryEngine::ExecuteDml(DmlRequest request) {
                                     std::move(request.points),
                                     options_.index_options);
     if (logged) catalog_.StampLsn(request.relation, lsn);
+    if (cache_ != nullptr && target != nullptr &&
+        target->generation != generation_before) {
+      cache_->InvalidateRelation(target->index.get());
+    }
     if (!outcome.ok()) {
-      // A failed mutate batch may still have applied a prefix; re-sync
-      // the cache with whatever generation the relation is at now.
-      if (cache_ != nullptr && request.kind == DmlRequest::Kind::kMutate) {
-        if (auto rel = catalog_.Get(request.relation); rel.ok()) {
-          cache_->InvalidateIfGenerationChanged((*rel)->index.get(),
-                                                (*rel)->generation);
-        }
-      }
       result.status = outcome.status();
       lock.unlock();
       if (logged) options_.wal->EndCommit(lsn, /*applied=*/false);
       RecordMutation(result);
       return result;
-    }
-    if (cache_ != nullptr) {
-      cache_->InvalidateIfGenerationChanged(outcome->index,
-                                            outcome->generation);
     }
     result.rows_affected = outcome->rows_affected;
     result.explain = MutationSummary(
@@ -328,79 +326,6 @@ EngineResult QueryEngine::ExecuteDml(DmlRequest request) {
   result.stats.wall_seconds = timer.ElapsedSeconds();
   RecordMutation(result);
   return result;
-}
-
-Result<std::vector<QuerySpec>> QueryEngine::ParseBatch(
-    std::string_view text) const {
-  std::shared_lock<std::shared_mutex> lock(catalog_mu_);
-  auto statements = knnql::ParseBoundScript(text, &catalog_);
-  if (!statements.ok()) return statements.status();
-  std::vector<QuerySpec> specs;
-  specs.reserve(statements->size());
-  for (knnql::BoundStatement& statement : *statements) {
-    auto* spec = std::get_if<QuerySpec>(&statement.op);
-    if (spec == nullptr) {
-      return knnql::ErrorAt(
-          statement.pos,
-          "DML statements cannot run in a query batch; use RunScript");
-    }
-    specs.push_back(std::move(*spec));
-  }
-  return specs;
-}
-
-Result<std::vector<EngineResult>> QueryEngine::RunScript(
-    std::string_view text) {
-  auto script = knnql::ParseScript(text);
-  if (!script.ok()) return script.status();
-  std::vector<EngineResult> results(script->size());
-
-  // Statements execute in script order, but maximal runs of
-  // consecutive queries become one concurrent batch. Queries bind
-  // right before their batch runs, so they see every mutation earlier
-  // statements applied.
-  std::vector<std::size_t> pending;
-  const auto flush = [&]() -> Status {
-    if (pending.empty()) return Status::Ok();
-    std::vector<QuerySpec> specs;
-    specs.reserve(pending.size());
-    {
-      std::shared_lock<std::shared_mutex> lock(catalog_mu_);
-      for (const std::size_t slot : pending) {
-        auto spec = knnql::Bind(
-            std::get<knnql::Query>((*script)[slot].body), &catalog_);
-        if (!spec.ok()) return spec.status();
-        specs.push_back(std::move(spec.value()));
-      }
-    }
-    std::vector<EngineResult> batch = RunBatch(specs);
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      results[pending[i]] = std::move(batch[i]);
-    }
-    pending.clear();
-    return Status::Ok();
-  };
-
-  for (std::size_t i = 0; i < script->size(); ++i) {
-    const knnql::Statement& statement = (*script)[i];
-    if (std::holds_alternative<knnql::Query>(statement.body)) {
-      pending.push_back(i);
-      continue;
-    }
-    if (Status s = flush(); !s.ok()) return s;
-    // Existence is checked by ExecuteDml under the write protocol, so
-    // the bind is shape-only (null catalog) and cannot fail for a
-    // statement the parser accepted.
-    auto dml = knnql::BindDml(statement.body, /*catalog=*/nullptr);
-    if (!dml.ok()) {
-      results[i].is_mutation = true;
-      results[i].status = dml.status();
-      continue;
-    }
-    results[i] = ExecuteDml(*dml);
-  }
-  if (Status s = flush(); !s.ok()) return s;
-  return results;
 }
 
 }  // namespace knnq

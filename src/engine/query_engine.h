@@ -4,9 +4,13 @@
 // fixed-size worker thread pool. Run() plans and executes one query;
 // RunBatch() fans a batch out over the workers and returns results in
 // submission order, with per-query errors isolated to their slot.
-// ExecuteDml() is the single write path (inserts/deletes/loads);
-// RunScript() executes a KNNQL script that may interleave DML with
-// queries.
+// ExecuteDml() is the single write path (inserts/deletes/loads).
+//
+// Statements arrive bound, never as text: both front ends
+// (server::Session and `knnq_cli query`) parse KNNQL with
+// knnql::ParseScript, bind queries through BindQuery and DML with
+// knnql::BindDml(body, nullptr), and ExecuteDml decides under the
+// writer lock whether a DML target exists.
 //
 // Concurrency model: SpatialIndex instances are read-thread-safe with
 // no synchronization as long as no write is in flight, so the engine
@@ -32,7 +36,6 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/common/status.h"
@@ -266,25 +269,6 @@ class QueryEngine {
 
   /// Cumulative counters over every statement this engine executed.
   EngineStatsSnapshot StatsSnapshot() const;
-
-  /// Parses a KNNQL script (src/lang/knnql.h) against this engine's
-  /// catalog into a batch of query specs, one per statement in script
-  /// order. EXPLAIN prefixes are presentation hints for interactive
-  /// front ends and are ignored here. Fails with a "line:col: ..."
-  /// diagnostic on the first syntax or binding error — including DML
-  /// statements, which cannot be represented as specs (RunScript
-  /// executes those).
-  Result<std::vector<QuerySpec>> ParseBatch(std::string_view text) const;
-
-  /// Executes a .knnql script that may interleave DML with queries.
-  /// Statements run in script order; maximal runs of consecutive
-  /// queries execute concurrently on the worker pool (a batch), DML
-  /// applies between batches. results[i] is statement i's outcome;
-  /// per-statement failures stay isolated to their slot. The whole
-  /// call fails only when the script does not parse or a query does
-  /// not bind against the catalog state at its batch's start
-  /// (mutations applied by earlier statements persist).
-  Result<std::vector<EngineResult>> RunScript(std::string_view text);
 
  private:
   /// The shared tail of Run/RunAnalyzed: installs `trace` (may be

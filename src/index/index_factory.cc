@@ -26,7 +26,6 @@ Result<std::unique_ptr<SpatialIndex>> BuildIndex(
     case IndexType::kGrid: {
       GridOptions grid;
       grid.target_points_per_cell = options.block_capacity;
-      grid.max_cells_per_axis = options.grid_max_cells_per_axis;
       auto built = GridIndex::Build(std::move(points), grid);
       if (!built.ok()) return built.status();
       return std::unique_ptr<SpatialIndex>(std::move(built.value()));
@@ -34,7 +33,6 @@ Result<std::unique_ptr<SpatialIndex>> BuildIndex(
     case IndexType::kQuadtree: {
       QuadtreeOptions quad;
       quad.leaf_capacity = options.block_capacity;
-      quad.max_depth = options.quadtree_max_depth;
       auto built = QuadtreeIndex::Build(std::move(points), quad);
       if (!built.ok()) return built.status();
       return std::unique_ptr<SpatialIndex>(std::move(built.value()));
@@ -42,7 +40,6 @@ Result<std::unique_ptr<SpatialIndex>> BuildIndex(
     case IndexType::kRTree: {
       RTreeOptions rtree;
       rtree.leaf_capacity = options.block_capacity;
-      rtree.fanout = options.rtree_fanout;
       auto built = RTreeIndex::Build(std::move(points), rtree);
       if (!built.ok()) return built.status();
       return std::unique_ptr<SpatialIndex>(std::move(built.value()));

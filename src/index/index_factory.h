@@ -26,16 +26,9 @@ struct IndexOptions {
   IndexType type = IndexType::kGrid;
 
   /// Target (grid) or maximum (trees) number of points per block.
+  /// Every other structure parameter keeps its GridOptions /
+  /// QuadtreeOptions / RTreeOptions default.
   std::size_t block_capacity = 64;
-
-  /// Quadtree recursion limit.
-  std::size_t quadtree_max_depth = 24;
-
-  /// R-tree internal fanout.
-  std::size_t rtree_fanout = 16;
-
-  /// Grid cell cap per axis.
-  std::size_t grid_max_cells_per_axis = 4096;
 };
 
 /// Builds the configured index over a copy-by-value point set.

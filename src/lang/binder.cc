@@ -203,27 +203,4 @@ Result<DmlSpec> BindDml(const StatementBody& body, const Catalog* catalog) {
   return spec;
 }
 
-Result<std::vector<BoundStatement>> BindScript(const Script& script,
-                                               const Catalog* catalog) {
-  std::vector<BoundStatement> bound;
-  bound.reserve(script.size());
-  for (const Statement& statement : script) {
-    BoundStatement entry;
-    entry.explain = statement.explain;
-    entry.analyze = statement.analyze;
-    entry.pos = statement.pos;
-    if (const auto* query = std::get_if<Query>(&statement.body)) {
-      auto spec = Bind(*query, catalog);
-      if (!spec.ok()) return spec.status();
-      entry.op = std::move(spec.value());
-    } else {
-      auto spec = BindDml(statement.body, catalog);
-      if (!spec.ok()) return spec.status();
-      entry.op = std::move(spec.value());
-    }
-    bound.push_back(std::move(entry));
-  }
-  return bound;
-}
-
 }  // namespace knnq::knnql

@@ -4,8 +4,10 @@
 // Binding checks what the grammar cannot:
 //   * every relation name resolves in the Catalog (skipped when no
 //     catalog is given — the unparser round-trip tests bind shapes
-//     whose relations exist nowhere; LOAD is exempt: it may create the
-//     relation);
+//     whose relations exist nowhere, and both front ends bind DML
+//     without one, so QueryEngine::ExecuteDml answers NotFound for an
+//     unknown INSERT/DELETE target under the writer lock; LOAD is
+//     exempt: it may create the relation);
 //   * SELECT ... INTERSECT ... names the same relation twice (the
 //     two-selects shape is defined over ONE relation);
 //   * WHERE INNER/OUTER IN KNN(r, ...) names the join input it
@@ -21,7 +23,6 @@
 #define KNNQ_SRC_LANG_BINDER_H_
 
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "src/common/point.h"
@@ -48,16 +49,6 @@ struct DmlSpec {
   friend bool operator==(const DmlSpec&, const DmlSpec&) = default;
 };
 
-/// A bound statement: the executable operation plus presentation flags
-/// and the statement's source position.
-struct BoundStatement {
-  bool explain = false;
-  /// EXPLAIN ANALYZE: execute and report the span tree too.
-  bool analyze = false;
-  std::variant<QuerySpec, DmlSpec> op;
-  SourcePos pos;
-};
-
 /// Binds one parsed query. `catalog` may be null to skip existence
 /// checks (syntax-only binding).
 Result<QuerySpec> Bind(const Query& query, const Catalog* catalog);
@@ -65,11 +56,6 @@ Result<QuerySpec> Bind(const Query& query, const Catalog* catalog);
 /// Binds one parsed DML statement (`body` must hold one of the DML
 /// alternatives). `catalog` may be null to skip existence checks.
 Result<DmlSpec> BindDml(const StatementBody& body, const Catalog* catalog);
-
-/// Binds every statement of a parsed script, failing on the first
-/// semantic error.
-Result<std::vector<BoundStatement>> BindScript(const Script& script,
-                                               const Catalog* catalog);
 
 }  // namespace knnq::knnql
 

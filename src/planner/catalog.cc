@@ -70,8 +70,7 @@ Result<MutationOutcome> Catalog::Mutate(const std::string& name,
   }
   if (rows > 0) ++rel.generation;
   return MutationOutcome{.rows_affected = rows,
-                         .generation = rel.generation,
-                         .index = rel.index.get()};
+                         .generation = rel.generation};
 }
 
 Result<MutationOutcome> Catalog::LoadRelation(const std::string& name,
@@ -84,8 +83,7 @@ Result<MutationOutcome> Catalog::LoadRelation(const std::string& name,
     }
     const Relation& rel = relations_.at(name);
     return MutationOutcome{.rows_affected = rows,
-                           .generation = rel.generation,
-                           .index = rel.index.get()};
+                           .generation = rel.generation};
   }
   Relation& rel = relations_.at(name);
   const std::size_t rows = points.size();
@@ -94,8 +92,7 @@ Result<MutationOutcome> Catalog::LoadRelation(const std::string& name,
   rel.next_id = next_id;
   ++rel.generation;
   return MutationOutcome{.rows_affected = rows,
-                         .generation = rel.generation,
-                         .index = rel.index.get()};
+                         .generation = rel.generation};
 }
 
 Status Catalog::AdoptRelation(const std::string& name,
@@ -140,21 +137,6 @@ std::vector<std::string> Catalog::Names() const {
   names.reserve(relations_.size());
   for (const auto& [name, unused] : relations_) names.push_back(name);
   return names;
-}
-
-Result<CoverageStats> Catalog::CoverageOf(const std::string& name,
-                                          const BoundingBox& frame) const {
-  auto relation = Get(name);
-  if (!relation.ok()) return relation.status();
-  return EstimateCoverage((*relation)->index->points(), frame);
-}
-
-BoundingBox Catalog::UnionBounds() const {
-  BoundingBox bounds;
-  for (const auto& [unused, relation] : relations_) {
-    bounds.Extend(relation.index->bounds());
-  }
-  return bounds;
 }
 
 }  // namespace knnq

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/data/distribution_stats.h"
 #include "src/index/index_factory.h"
 #include "src/index/spatial_index.h"
 
@@ -77,8 +76,6 @@ struct MutationOutcome {
   std::size_t rows_affected = 0;
   /// The relation's generation after the call.
   std::uint64_t generation = 0;
-  /// The mutated relation's index — the identity caches key on.
-  const SpatialIndex* index = nullptr;
 };
 
 /// Name -> relation registry. See the header comment for the
@@ -123,15 +120,6 @@ class Catalog {
 
   /// Registered names, sorted.
   std::vector<std::string> Names() const;
-
-  /// Block coverage of `name`'s points measured over `frame` (pass a
-  /// common frame to compare two relations; see Section 4.1.2).
-  Result<CoverageStats> CoverageOf(const std::string& name,
-                                   const BoundingBox& frame) const;
-
-  /// The union of all registered relations' bounding boxes; the default
-  /// frame for coverage comparisons.
-  BoundingBox UnionBounds() const;
 
  private:
   /// Mutable lookup for the mutation paths.

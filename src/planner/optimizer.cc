@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "src/core/unchained_joins.h"
+#include "src/data/distribution_stats.h"
 #include "src/lang/unparser.h"
 #include "src/planner/rules.h"
 

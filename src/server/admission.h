@@ -2,13 +2,13 @@
 // admitted queries. A slot is held from dispatch until the engine's
 // completion callback runs; when every slot is taken, new work is
 // refused with a structured `overloaded` error instead of queueing
-// unboundedly. Graceful shutdown drains by waiting for the gauge to
-// reach zero.
+// unboundedly. The gate holds no waiters: graceful shutdown drains
+// each connection through Session::WaitIdle (Server::Stop), and every
+// admitted query releases its slot before its session counts it done.
 
 #ifndef KNNQ_SRC_SERVER_ADMISSION_H_
 #define KNNQ_SRC_SERVER_ADMISSION_H_
 
-#include <condition_variable>
 #include <cstddef>
 #include <mutex>
 
@@ -29,19 +29,10 @@ class AdmissionController {
     return true;
   }
 
-  /// Returns a slot claimed by TryAcquire. Notifies under the lock so
-  /// a WaitUntilIdle caller may destroy the gate as soon as it
-  /// returns.
+  /// Returns a slot claimed by TryAcquire.
   void Release() {
     std::lock_guard<std::mutex> lock(mu_);
     --in_flight_;
-    if (in_flight_ == 0) idle_cv_.notify_all();
-  }
-
-  /// Blocks until no slot is held - the shutdown drain barrier.
-  void WaitUntilIdle() {
-    std::unique_lock<std::mutex> lock(mu_);
-    idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
   }
 
   std::size_t in_flight() const {
@@ -54,7 +45,6 @@ class AdmissionController {
  private:
   const std::size_t max_in_flight_;
   mutable std::mutex mu_;
-  std::condition_variable idle_cv_;
   std::size_t in_flight_ = 0;
 };
 

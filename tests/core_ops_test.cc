@@ -76,20 +76,6 @@ TEST(KnnJoinTest, RejectsZeroK) {
   EXPECT_FALSE(KnnJoin(MakeUniform(5, 49), *inner_index, 0).ok());
 }
 
-TEST(KnnJoinTest, StreamingMatchesMaterialized) {
-  const PointSet outer = MakeUniform(40, 51);
-  const PointSet inner = MakeUniform(300, 52, /*first_id=*/1000);
-  const auto inner_index = MakeIndex(inner);
-  JoinResult streamed;
-  ASSERT_TRUE(KnnJoinStreaming(outer, *inner_index, 3,
-                               [&](const Point& a, const Point& b) {
-                                 streamed.push_back(JoinPair{a, b});
-                               })
-                  .ok());
-  Canonicalize(streamed);
-  EXPECT_EQ(streamed, *KnnJoin(outer, *inner_index, 3));
-}
-
 TEST(ResultTypesTest, CanonicalizeSortsPairs) {
   JoinResult pairs = {
       JoinPair{{.id = 2, .x = 0, .y = 0}, {.id = 1, .x = 0, .y = 0}},

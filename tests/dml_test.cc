@@ -1,7 +1,7 @@
 // Mutable-relation tests: the differential mutation harness (the
 // oracle the suite lacked), per-structure maintenance unit tests, the
 // engine's reader/writer protocol under concurrency, per-relation
-// cache invalidation, and RunScript's DML interleaving.
+// cache invalidation, and DML interleaved with queries in one script.
 //
 // The differential harness is the heart: a seeded random interleaving
 // of insert/delete/query batches where, after every checkpoint, all
@@ -19,6 +19,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -26,6 +27,7 @@
 #include "src/engine/query_engine.h"
 #include "src/index/index_factory.h"
 #include "src/index/knn_searcher.h"
+#include "src/lang/parser.h"
 #include "src/planner/catalog.h"
 #include "tests/test_util.h"
 
@@ -478,6 +480,37 @@ TEST(PerRelationInvalidationTest, MutatingOneRelationKeepsOthersHot) {
   EXPECT_GT(stats.invalidated, 0u);
 }
 
+TEST(PerRelationInvalidationTest, ZeroRowDeleteKeepsTheRelationsEntries) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .AddRelation("a", MakeUniform(400, 23, 0),
+                               SmallBlocks(IndexType::kGrid))
+                  .ok());
+  EngineOptions options = WithThreads(1);
+  options.cache_mb = 16;
+  QueryEngine engine(std::move(catalog), options);
+  const QuerySpec on_a = TwoSelectsSpec{
+      .relation = "a",
+      .s1 = {.focal = {.id = -1, .x = 300, .y = 200}, .k = 6},
+      .s2 = {.focal = {.id = -1, .x = 320, .y = 220}, .k = 9}};
+  ASSERT_TRUE(engine.Run(on_a).ok());  // Warm the cache.
+
+  // A DELETE of an absent id changes no row, so it keeps the relation's
+  // generation and its cached neighborhoods: the first such DELETE as
+  // much as the second.
+  for (const PointId absent : {PointId{999999}, PointId{999998}}) {
+    const EngineResult deleted = engine.ExecuteDml(
+        DmlRequest::MutateOps("a", {MutationOp::Erase(absent)}));
+    ASSERT_TRUE(deleted.ok()) << deleted.status.ToString();
+    EXPECT_EQ(deleted.rows_affected, 0u);
+    const EngineResult rerun = engine.Run(on_a);
+    EXPECT_GT(rerun.stats.cache_hits, 0u)
+        << "the 0-row DELETE of id " << absent << " dropped a's entries";
+    EXPECT_EQ(rerun.stats.cache_misses, 0u);
+  }
+  EXPECT_EQ(engine.neighborhood_cache()->GetStats().invalidated, 0u);
+}
+
 // --- Concurrent readers vs. writers: what TSan watches ---
 
 TEST(ConcurrentMutationTest, ReadersRaceWritersSafely) {
@@ -574,9 +607,33 @@ TEST(ConcurrentMutationTest, ReadersRaceWritersSafely) {
   }
 }
 
-// --- RunScript: DML interleaved with queries ---
+// --- One script: DML interleaved with queries ---
 
-TEST(RunScriptDmlTest, StatementsSeeEarlierMutations) {
+/// Runs `text` statement by statement the way both front ends do:
+/// each query binds through BindQuery right before it runs, so it sees
+/// every earlier mutation; DML binds shape-only and ExecuteDml applies
+/// it.
+std::vector<EngineResult> RunStatements(QueryEngine& engine,
+                                        const std::string& text) {
+  auto script = knnql::ParseScript(text);
+  EXPECT_TRUE(script.ok()) << script.status().ToString();
+  std::vector<EngineResult> results;
+  if (!script.ok()) return results;
+  for (const knnql::Statement& statement : *script) {
+    if (const auto* query = std::get_if<knnql::Query>(&statement.body)) {
+      auto spec = engine.BindQuery(*query);
+      EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+      if (spec.ok()) results.push_back(engine.Run(*spec));
+      continue;
+    }
+    auto dml = knnql::BindDml(statement.body, /*catalog=*/nullptr);
+    EXPECT_TRUE(dml.ok()) << dml.status().ToString();
+    if (dml.ok()) results.push_back(engine.ExecuteDml(*dml));
+  }
+  return results;
+}
+
+TEST(ScriptDmlTest, StatementsSeeEarlierMutations) {
   Catalog catalog;
   ASSERT_TRUE(catalog
                   .AddRelation("spots", MakeUniform(200, 41, 0),
@@ -595,16 +652,15 @@ TEST(RunScriptDmlTest, StatementsSeeEarlierMutations) {
       "DELETE FROM spots WHERE ID = 200;\n"
       "SELECT KNN(spots, 2, AT(1500, 1500)) INTERSECT "
       "KNN(spots, 2, AT(1500, 1500));\n";
-  auto results = engine.RunScript(script);
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
-  ASSERT_EQ(results->size(), 5u);
-  for (const EngineResult& result : *results) {
+  const std::vector<EngineResult> results = RunStatements(engine, script);
+  ASSERT_EQ(results.size(), 5u);
+  for (const EngineResult& result : results) {
     ASSERT_TRUE(result.ok()) << result.status.ToString();
   }
-  EXPECT_FALSE((*results)[0].is_mutation);
-  EXPECT_TRUE((*results)[1].is_mutation);
-  EXPECT_EQ((*results)[1].rows_affected, 2u);
-  EXPECT_EQ((*results)[3].rows_affected, 1u);
+  EXPECT_FALSE(results[0].is_mutation);
+  EXPECT_TRUE(results[1].is_mutation);
+  EXPECT_EQ(results[1].rows_affected, 2u);
+  EXPECT_EQ(results[3].rows_affected, 1u);
 
   const auto ids_of = [](const QueryOutput& output) {
     std::vector<PointId> ids;
@@ -615,21 +671,14 @@ TEST(RunScriptDmlTest, StatementsSeeEarlierMutations) {
   };
   // Before the INSERT neither sentinel exists; after, both are the two
   // nearest; after the DELETE only 201 remains.
-  const auto before = ids_of((*results)[0].output);
+  const auto before = ids_of(results[0].output);
   EXPECT_EQ(std::count(before.begin(), before.end(), 200), 0);
-  const auto inserted = ids_of((*results)[2].output);
+  const auto inserted = ids_of(results[2].output);
   EXPECT_EQ(std::count(inserted.begin(), inserted.end(), 200), 1);
   EXPECT_EQ(std::count(inserted.begin(), inserted.end(), 201), 1);
-  const auto deleted = ids_of((*results)[4].output);
+  const auto deleted = ids_of(results[4].output);
   EXPECT_EQ(std::count(deleted.begin(), deleted.end(), 200), 0);
   EXPECT_EQ(std::count(deleted.begin(), deleted.end(), 201), 1);
-
-  // ParseBatch refuses DML with a positioned diagnostic.
-  auto specs = engine.ParseBatch("INSERT INTO spots VALUES (1, 2);");
-  ASSERT_FALSE(specs.ok());
-  EXPECT_NE(specs.status().message().find("DML"), std::string::npos);
-  EXPECT_EQ(specs.status().message().rfind("1:1:", 0), 0u)
-      << specs.status().message();
 }
 
 }  // namespace

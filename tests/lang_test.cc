@@ -6,12 +6,13 @@
 // identical results).
 
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/common/random.h"
 #include "src/engine/query_engine.h"
-#include "src/lang/knnql.h"
+#include "src/lang/binder.h"
 #include "src/lang/parser.h"
 #include "src/lang/unparser.h"
 #include "src/planner/optimizer.h"
@@ -39,9 +40,28 @@ Catalog MakeLangCatalog() {
   return catalog;
 }
 
+/// Parses and binds exactly one query statement, the way both front
+/// ends do (knnql::ParseStatement, then knnql::Bind). A null `catalog`
+/// skips existence checks (syntax + shape only).
+Result<QuerySpec> ParseQuery(const std::string& text,
+                             const Catalog* catalog = nullptr) {
+  auto statement = knnql::ParseStatement(text);
+  if (!statement.ok()) return statement.status();
+  const auto* query = std::get_if<knnql::Query>(&statement->body);
+  if (query == nullptr) return Status::InvalidArgument("not a query");
+  return knnql::Bind(*query, catalog);
+}
+
+/// Binds one parsed query statement without a catalog.
+QuerySpec BindOf(const knnql::Statement& statement) {
+  auto spec = knnql::Bind(std::get<knnql::Query>(statement.body), nullptr);
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+  return spec.ok() ? *spec : QuerySpec{};
+}
+
 /// Parses one statement without a catalog (syntax + shape only).
 QuerySpec MustParse(const std::string& text) {
-  auto spec = knnql::ParseQuerySpec(text);
+  auto spec = ParseQuery(text);
   EXPECT_TRUE(spec.ok()) << spec.status().ToString() << "\n  in: " << text;
   return spec.ok() ? *spec : QuerySpec{};
 }
@@ -140,18 +160,18 @@ TEST(KnnqlParseTest, KeywordsAreCaseInsensitiveAndCommentsSkip) {
 }
 
 TEST(KnnqlParseTest, ExplainPrefixSetsTheStatementFlag) {
-  auto script = knnql::ParseBoundScript(
+  auto script = knnql::ParseScript(
       "EXPLAIN SELECT KNN(h, 1, AT(0, 0)) INTERSECT KNN(h, 2, AT(1, 1));\n"
       "SELECT KNN(h, 1, AT(0, 0)) INTERSECT KNN(h, 2, AT(1, 1));");
   ASSERT_TRUE(script.ok()) << script.status().ToString();
   ASSERT_EQ(script->size(), 2u);
   EXPECT_TRUE((*script)[0].explain);
   EXPECT_FALSE((*script)[1].explain);
-  EXPECT_EQ((*script)[0].op, (*script)[1].op);
+  EXPECT_EQ(BindOf((*script)[0]), BindOf((*script)[1]));
 }
 
 TEST(KnnqlParseTest, ExplainAnalyzeSetsBothFlags) {
-  auto script = knnql::ParseBoundScript(
+  auto script = knnql::ParseScript(
       "EXPLAIN ANALYZE SELECT KNN(h, 1, AT(0, 0)) "
       "INTERSECT KNN(h, 2, AT(1, 1));\n"
       "EXPLAIN JOIN KNN(a, b, 3) WHERE INNER IN KNN(b, 5, AT(9, 9));");
@@ -163,8 +183,8 @@ TEST(KnnqlParseTest, ExplainAnalyzeSetsBothFlags) {
   EXPECT_FALSE((*script)[1].analyze);
 
   // ANALYZE needs a plan just like EXPLAIN: DML is rejected.
-  auto dml = knnql::ParseBoundScript(
-      "EXPLAIN ANALYZE INSERT INTO city VALUES (1, 2);");
+  auto dml =
+      knnql::ParseScript("EXPLAIN ANALYZE INSERT INTO city VALUES (1, 2);");
   ASSERT_FALSE(dml.ok());
   EXPECT_NE(dml.status().ToString().find("EXPLAIN applies to queries"),
             std::string::npos);
@@ -259,7 +279,7 @@ TEST(KnnqlDmlUnparseTest, CanonicalTextRoundTrips) {
 /// containing `fragment`.
 void ExpectErrorAt(const std::string& text, const std::string& position,
                    const std::string& fragment) {
-  auto spec = knnql::ParseQuerySpec(text);
+  auto spec = ParseQuery(text);
   ASSERT_FALSE(spec.ok()) << "unexpectedly parsed: " << text;
   const std::string message = spec.status().message();
   EXPECT_EQ(message.rfind(position + ": ", 0), 0u)
@@ -305,7 +325,7 @@ TEST(KnnqlDiagnosticsTest, KMustBePositiveInteger) {
 
 TEST(KnnqlDiagnosticsTest, UnknownRelationReportsNamePosition) {
   const Catalog catalog = MakeLangCatalog();
-  auto spec = knnql::ParseQuerySpec(
+  auto spec = ParseQuery(
       "SELECT KNN(nope, 5, AT(1, 2)) INTERSECT KNN(nope, 5, AT(1, 2));",
       &catalog);
   ASSERT_FALSE(spec.ok());
@@ -314,16 +334,22 @@ TEST(KnnqlDiagnosticsTest, UnknownRelationReportsNamePosition) {
             0u)
       << spec.status().message();
 
-  // Multi-line scripts keep counting lines.
-  auto script = knnql::ParseBoundScript(
+  // Multi-line scripts keep counting lines: positions are
+  // script-absolute.
+  auto script = knnql::ParseScript(
       "SELECT KNN(city, 5, AT(1, 2)) INTERSECT KNN(city, 5, AT(1, 2));\n"
-      "JOIN KNN(city, missing, 3) THEN KNN(missing, uniform, 2);",
-      &catalog);
-  ASSERT_FALSE(script.ok());
-  EXPECT_EQ(script.status().message().rfind(
+      "JOIN KNN(city, missing, 3) THEN KNN(missing, uniform, 2);");
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  ASSERT_EQ(script->size(), 2u);
+  EXPECT_TRUE(
+      knnql::Bind(std::get<knnql::Query>((*script)[0].body), &catalog).ok());
+  auto second =
+      knnql::Bind(std::get<knnql::Query>((*script)[1].body), &catalog);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().message().rfind(
                 "2:16: unknown relation 'missing'", 0),
             0u)
-      << script.status().message();
+      << second.status().message();
 }
 
 TEST(KnnqlDiagnosticsTest, ShapeConstraintViolations) {
@@ -380,18 +406,18 @@ TEST(KnnqlDiagnosticsTest, IncompleteInputIsDistinguishable) {
        {"SELECT KNN(h, 5,", "SELECT KNN(h, 5, AT(1, 2)) INTERSECT",
         "JOIN KNN(a, b, 3) WHERE", "EXPLAIN", "INSERT INTO h VALUES",
         "DELETE FROM h WHERE ID =", "LOAD h FROM"}) {
-    auto spec = knnql::ParseQuerySpec(text);
+    auto spec = ParseQuery(text);
     ASSERT_FALSE(spec.ok()) << text;
     EXPECT_TRUE(knnql::IsIncompleteInput(spec.status())) << text;
   }
   // Real errors are NOT incomplete: more input would not fix them.
-  auto spec = knnql::ParseQuerySpec("SELECT KNN(h, 0, AT(1,");
+  auto spec = ParseQuery("SELECT KNN(h, 0, AT(1,");
   ASSERT_FALSE(spec.ok());
   EXPECT_FALSE(knnql::IsIncompleteInput(spec.status()));
 }
 
 TEST(KnnqlDiagnosticsTest, MissingSemicolonBetweenStatements) {
-  auto script = knnql::ParseBoundScript(
+  auto script = knnql::ParseScript(
       "SELECT KNN(h, 5, AT(1, 2)) INTERSECT KNN(h, 5, AT(1, 2))\n"
       "SELECT KNN(h, 5, AT(1, 2)) INTERSECT KNN(h, 5, AT(1, 2));");
   ASSERT_FALSE(script.ok());
@@ -522,7 +548,7 @@ TEST(KnnqlRoundTripTest, ParseOfUnparseIsIdentityOnRandomSpecs) {
     for (int i = 0; i < 80; ++i) {
       const QuerySpec spec = gen.Spec(shape);
       const std::string text = knnql::Unparse(spec);
-      auto reparsed = knnql::ParseQuerySpec(text);
+      auto reparsed = ParseQuery(text);
       ASSERT_TRUE(reparsed.ok())
           << reparsed.status().ToString() << "\n  in: " << text;
       EXPECT_EQ(*reparsed, spec) << "round trip changed: " << text;
@@ -553,8 +579,9 @@ TEST(KnnqlRoundTripTest, ParseOfUnparseIsIdentityOnRandomDml) {
 // --------------------------------------- engine-path equivalence
 
 /// The acceptance criterion: a query written in KNNQL and executed via
-/// the text path returns results identical to the equivalent
-/// programmatic QuerySpec, for every shape.
+/// the front ends' text path (ParseScript, BindQuery, Run) returns
+/// results identical to the equivalent programmatic QuerySpec, for
+/// every shape.
 TEST(KnnqlEngineTest, TextAndProgrammaticPathsAgreeOnAllShapes) {
   QueryEngine engine(MakeLangCatalog());
   const std::vector<QuerySpec> specs = {
@@ -594,32 +621,39 @@ TEST(KnnqlEngineTest, TextAndProgrammaticPathsAgreeOnAllShapes) {
     script += knnql::Unparse(spec);
     script += '\n';
   }
-  auto script_results = engine.RunScript(script);
-  ASSERT_TRUE(script_results.ok()) << script_results.status().ToString();
-  ASSERT_EQ(script_results->size(), specs.size());
+  auto parsed = knnql::ParseScript(script);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->size(), specs.size());
 
-  // ... and compare each slot against the programmatic path.
+  // ... and compare each statement against the programmatic path.
   for (std::size_t i = 0; i < specs.size(); ++i) {
+    auto bound = engine.BindQuery(std::get<knnql::Query>((*parsed)[i].body));
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    const EngineResult text = engine.Run(*bound);
     const EngineResult direct = engine.Run(specs[i]);
     ASSERT_TRUE(direct.ok()) << direct.status.ToString();
-    ASSERT_TRUE((*script_results)[i].ok())
-        << (*script_results)[i].status.ToString();
-    EXPECT_EQ((*script_results)[i].output, direct.output)
+    ASSERT_TRUE(text.ok()) << text.status.ToString();
+    EXPECT_EQ(text.output, direct.output)
         << "text path diverged for: " << knnql::Unparse(specs[i]);
-    EXPECT_EQ((*script_results)[i].algorithm, direct.algorithm);
+    EXPECT_EQ(text.algorithm, direct.algorithm);
   }
 }
 
-TEST(KnnqlEngineTest, ParseBatchReportsPositionedErrors) {
+TEST(KnnqlEngineTest, BindQueryReportsScriptPositions) {
   const QueryEngine engine(MakeLangCatalog());
-  auto specs = engine.ParseBatch(
+  auto script = knnql::ParseScript(
       "SELECT KNN(city, 5, AT(1, 2)) INTERSECT KNN(city, 5, AT(1, 2));\n"
       "SELECT KNN(ghost, 5, AT(1, 2)) INTERSECT KNN(ghost, 5, "
       "AT(1, 2));");
-  ASSERT_FALSE(specs.ok());
-  EXPECT_EQ(specs.status().message().rfind("2:12: unknown relation", 0),
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  ASSERT_EQ(script->size(), 2u);
+  EXPECT_TRUE(
+      engine.BindQuery(std::get<knnql::Query>((*script)[0].body)).ok());
+  auto spec = engine.BindQuery(std::get<knnql::Query>((*script)[1].body));
+  ASSERT_FALSE(spec.ok());
+  EXPECT_EQ(spec.status().message().rfind("2:12: unknown relation", 0),
             0u)
-      << specs.status().message();
+      << spec.status().message();
 }
 
 TEST(KnnqlEngineTest, ExplainEchoesCanonicalQueryText) {
@@ -636,7 +670,7 @@ TEST(KnnqlEngineTest, ExplainEchoesCanonicalQueryText) {
       << plan->Explain();
   // The echoed text parses back to the same spec: EXPLAIN output is
   // itself valid KNNQL.
-  auto reparsed = knnql::ParseQuerySpec(canonical, &catalog);
+  auto reparsed = ParseQuery(canonical, &catalog);
   ASSERT_TRUE(reparsed.ok());
   EXPECT_EQ(*reparsed, QuerySpec(spec));
 }

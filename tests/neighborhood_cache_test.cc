@@ -203,17 +203,6 @@ TEST(NeighborhoodCacheTest, PerRelationInvalidationDropsOnlyThatRelation) {
   EXPECT_EQ(searcher_b.stats().cache_hits, 1u);
   (void)searcher_a.GetKnn(q, 1);
   EXPECT_EQ(searcher_a.stats().cache_hits, 0u);
-
-  // The generation-keyed hook: first observation drops (untracked
-  // entries may predate it), same generation is a no-op, a new
-  // generation drops again.
-  cache.InvalidateIfGenerationChanged(index_b.get(), 7);
-  EXPECT_EQ(cache.GetStats().entries, 1u);  // Only a's re-probe lives.
-  (void)searcher_b.GetKnn(q, 2);
-  cache.InvalidateIfGenerationChanged(index_b.get(), 7);
-  EXPECT_EQ(cache.GetStats().entries, 2u);  // No-op: entry survived.
-  cache.InvalidateIfGenerationChanged(index_b.get(), 8);
-  EXPECT_EQ(cache.GetStats().entries, 1u);
 }
 
 // --- Reference model: the same semantics kept the obvious way ---
@@ -231,8 +220,8 @@ ModelKey KeyOf(const SpatialIndex& relation, const Point& query,
 
 /// The documented NeighborhoodCache semantics as a list + map LRU per
 /// shard: refresh on a hit and on a duplicate insert, oversize drop,
-/// LRU-first eviction under capacity / shards, and per-relation and
-/// generation invalidation. Shard assignment and entry charges are
+/// LRU-first eviction under capacity / shards, and per-relation
+/// invalidation. Shard assignment and entry charges are
 /// supplied by the caller, measured on the real cache.
 class ReferenceCache {
  public:
@@ -287,17 +276,6 @@ class ReferenceCache {
     }
   }
 
-  void GenerationChanged(std::uint64_t relation_id,
-                         std::uint64_t generation) {
-    const auto [it, inserted] =
-        generations_.try_emplace(relation_id, generation);
-    if (!inserted) {
-      if (it->second == generation) return;
-      it->second = generation;
-    }
-    DropRelation(relation_id);
-  }
-
   void Clear() {
     for (Shard& s : shards_) {
       s.lru.clear();
@@ -330,7 +308,6 @@ class ReferenceCache {
   std::vector<Shard> shards_;
   const std::size_t shard_capacity_;
   NeighborhoodCacheStats stats_;
-  std::map<std::uint64_t, std::uint64_t> generations_;
 };
 
 /// A neighborhood of `size` members whose every field encodes
@@ -441,9 +418,9 @@ TEST_P(CacheModelTest, MatchesReferenceLruOverSeededOperations) {
   NeighborhoodCache cache(SmallCache(capacity, num_shards));
   ReferenceCache model(num_shards, capacity / num_shards);
   Rng rng(4242 + num_shards);
-  // Lookup, Insert, InvalidateRelation, the generation hook, Clear:
-  // rare drops, so the budget fills between them and evicts.
-  const std::vector<double> weights = {50, 45, 0.4, 0.5, 0.1};
+  // Lookup, Insert, InvalidateRelation, Clear: rare drops, so the
+  // budget fills between them and evicts.
+  const std::vector<double> weights = {50, 45, 0.9, 0.1};
   constexpr std::size_t kOps = 40000;
   std::uint64_t version = 0;
   for (std::size_t op = 0; op < kOps; ++op) {
@@ -475,12 +452,6 @@ TEST_P(CacheModelTest, MatchesReferenceLruOverSeededOperations) {
         cache.InvalidateRelation(some_relation);
         model.DropRelation(some_relation->instance_id());
         break;
-      case 3: {
-        const std::uint64_t generation = rng.NextIndex(3);
-        cache.InvalidateIfGenerationChanged(some_relation, generation);
-        model.GenerationChanged(some_relation->instance_id(), generation);
-        break;
-      }
       default:
         cache.Clear();
         model.Clear();

@@ -74,14 +74,15 @@
 #include "src/data/berlinmod.h"
 #include "src/data/clustered.h"
 #include "src/data/dataset_io.h"
+#include "src/data/distribution_stats.h"
 #include "src/data/uniform.h"
 #include "src/durability/durability_manager.h"
 #include "src/engine/query_engine.h"
 #include "src/index/distance_kernel.h"
 #include "src/index/knn_searcher.h"
-#include "src/lang/knnql.h"
 #include "src/lang/lexer.h"
 #include "src/lang/parser.h"
+#include "src/lang/unparser.h"
 #include "src/obs/log.h"
 #include "src/obs/trace.h"
 #include "src/planner/catalog.h"
@@ -373,8 +374,12 @@ int CmdKnn(const Args& args) {
 
 // --------------------------------------------------------------- query
 //
-// JSON output goes through src/server/wire.h: the network server and
-// `--json` emit byte-identical records for the same outcome.
+// A statement binds, runs and renders by server::Session's rules:
+// queries bind through QueryEngine::BindQuery, DML through
+// knnql::BindDml(body, nullptr), so ExecuteDml answers NotFound for an
+// unknown INSERT/DELETE target under the writer lock, and JSON output
+// goes through src/server/wire.h. `--json` and the network server emit
+// the same record for the same statement, apart from the server's id.
 
 void PrintHumanResult(const EngineResult& run) {
   std::printf("%s", run.explain.c_str());
@@ -395,12 +400,14 @@ void PrintHumanResult(const EngineResult& run) {
       run.output);
 }
 
-/// A statement-level failure (bind, plan or execution): in JSON mode it
-/// must still land on stdout as a JSON record.
-int FailStatement(const Status& status, bool json) {
+/// A failed statement: in JSON mode it still lands on stdout, as the
+/// server's error record. `kind` names the failed statement ("query"
+/// or "statement"); it is empty for a parse or bind error.
+int FailStatement(std::string_view kind, const std::string& text,
+                  const Status& status, bool json) {
   if (json) {
     std::printf("%s\n",
-                server::JsonErrorRecord("", "", status).c_str());
+                server::JsonErrorRecord(kind, text, status).c_str());
     return 1;
   }
   return Fail(status);
@@ -408,18 +415,13 @@ int FailStatement(const Status& status, bool json) {
 
 /// Executes one DML statement (INSERT / DELETE / LOAD) and prints the
 /// outcome in the requested format.
-int ExecuteDml(QueryEngine& engine, const knnql::DmlSpec& dml, bool json) {
-  const std::string text = knnql::Unparse(dml);
-  const EngineResult run = engine.ExecuteDml(dml);
-  if (!run.ok()) {
-    if (json) {
-      std::printf(
-          "%s\n",
-          server::JsonErrorRecord("statement", text, run.status).c_str());
-      return 1;
-    }
-    return Fail(run.status);
-  }
+int ExecuteDml(QueryEngine& engine, const knnql::Statement& statement,
+               bool json) {
+  const auto dml = knnql::BindDml(statement.body, /*catalog=*/nullptr);
+  if (!dml.ok()) return FailStatement("", "", dml.status(), json);
+  const std::string text = knnql::Unparse(*dml);
+  const EngineResult run = engine.ExecuteDml(*dml);
+  if (!run.ok()) return FailStatement("statement", text, run.status, json);
   if (json) {
     std::printf("%s\n", server::JsonDmlRecord(text, run).c_str());
   } else {
@@ -431,35 +433,23 @@ int ExecuteDml(QueryEngine& engine, const knnql::DmlSpec& dml, bool json) {
 /// Executes one parsed statement — binding it against the engine's
 /// CURRENT catalog, so a LOAD can create relations that later
 /// statements of the same script use — and prints it in the requested
-/// format. Returns 0 on success (including a printed EXPLAIN).
+/// format. `parse_ns` is the statement's own parse time (0: unknown).
+/// Returns 0 on success (including a printed EXPLAIN).
 int ExecuteStatement(QueryEngine& engine,
                      const knnql::Statement& statement, bool json,
-                     std::uint64_t parse_ns = 0) {
+                     std::uint64_t parse_ns) {
   const auto* query = std::get_if<knnql::Query>(&statement.body);
-  if (query == nullptr) {
-    auto dml = knnql::BindDml(statement.body, &engine.catalog());
-    if (!dml.ok()) return FailStatement(dml.status(), json);
-    return ExecuteDml(engine, *dml, json);
-  }
+  if (query == nullptr) return ExecuteDml(engine, statement, json);
   Stopwatch bind_timer;
-  auto bound = knnql::Bind(*query, &engine.catalog());
+  const auto spec = engine.BindQuery(*query);
   const double bind_seconds = bind_timer.ElapsedSeconds();
-  if (!bound.ok()) return FailStatement(bound.status(), json);
-  const QuerySpec& spec = *bound;
+  if (!spec.ok()) return FailStatement("", "", spec.status(), json);
 
-  const std::string text = knnql::Unparse(spec);
+  const std::string text = knnql::Unparse(*spec);
   if (statement.analyze) {
     const EngineResult run = engine.RunAnalyzed(
-        spec, parse_ns, static_cast<std::uint64_t>(bind_seconds * 1e9));
-    if (!run.ok()) {
-      if (json) {
-        std::printf(
-            "%s\n",
-            server::JsonErrorRecord("query", text, run.status).c_str());
-        return 1;
-      }
-      return Fail(run.status);
-    }
+        *spec, parse_ns, static_cast<std::uint64_t>(bind_seconds * 1e9));
+    if (!run.ok()) return FailStatement("query", text, run.status, json);
     if (json) {
       std::printf("%s\n", server::JsonAnalyzeRecord(text, run).c_str());
     } else {
@@ -469,16 +459,9 @@ int ExecuteStatement(QueryEngine& engine,
     return 0;
   }
   if (statement.explain) {
-    const auto explain = engine.Explain(spec);
+    const auto explain = engine.Explain(*spec);
     if (!explain.ok()) {
-      if (json) {
-        std::printf("%s\n",
-                    server::JsonErrorRecord("query", text,
-                                            explain.status())
-                        .c_str());
-        return 1;
-      }
-      return Fail(explain.status());
+      return FailStatement("query", text, explain.status(), json);
     }
     if (json) {
       std::printf("%s\n",
@@ -489,16 +472,8 @@ int ExecuteStatement(QueryEngine& engine,
     return 0;
   }
 
-  const EngineResult run = engine.Run(spec);
-  if (!run.ok()) {
-    if (json) {
-      std::printf(
-          "%s\n",
-          server::JsonErrorRecord("query", text, run.status).c_str());
-      return 1;
-    }
-    return Fail(run.status);
-  }
+  const EngineResult run = engine.Run(*spec);
+  if (!run.ok()) return FailStatement("query", text, run.status, json);
   if (json) {
     std::printf("%s\n", server::JsonQueryRecord(text, run).c_str());
   } else {
@@ -507,19 +482,13 @@ int ExecuteStatement(QueryEngine& engine,
   return 0;
 }
 
-/// A script-level failure (parse or bind): in JSON mode it must still
-/// land on stdout as a JSON record, not as a bare stderr line.
-int FailScript(const Status& status, bool json) {
-  if (json) {
-    std::printf("%s\n",
-                server::JsonErrorRecord("", "", status).c_str());
-    return 1;
-  }
-  return Fail(status);
-}
-
+/// Executes a parsed text's statements in order. `parse_ns` timed the
+/// parse of the whole text, so it is a statement's own parse time only
+/// when the text held that one statement; the EXPLAIN ANALYZE records
+/// of a longer text carry no "parse" span.
 int ExecuteStatements(QueryEngine& engine, const knnql::Script& script,
-                      bool json, std::uint64_t parse_ns = 0) {
+                      bool json, std::uint64_t parse_ns) {
+  if (script.size() > 1) parse_ns = 0;
   int rc = 0;
   for (const knnql::Statement& statement : script) {
     if (ExecuteStatement(engine, statement, json, parse_ns) != 0) rc = 1;
@@ -536,7 +505,7 @@ int RunKnnqlText(QueryEngine& engine, const std::string& text, bool json) {
   const auto script = knnql::ParseScript(text);
   const auto parse_ns =
       static_cast<std::uint64_t>(parse_timer.ElapsedSeconds() * 1e9);
-  if (!script.ok()) return FailScript(script.status(), json);
+  if (!script.ok()) return FailStatement("", "", script.status(), json);
   return ExecuteStatements(engine, *script, json, parse_ns);
 }
 
@@ -587,7 +556,7 @@ int RunRepl(QueryEngine& engine, bool json) {
         static_cast<std::uint64_t>(parse_timer.ElapsedSeconds() * 1e9);
     if (!parsed.ok()) {
       if (knnql::IsIncompleteInput(parsed.status())) continue;
-      FailScript(parsed.status(), json);
+      FailStatement("", "", parsed.status(), json);
       rc = 1;
     } else if (ExecuteStatements(engine, *parsed, json, parse_ns) != 0) {
       rc = 1;
